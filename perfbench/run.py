@@ -6,8 +6,9 @@ Run from the root of a source checkout; the library is imported from
 ``src/``.  The run sets up the workload three times (inputs from the seed,
 documents written, one warm-up pipeline), then runs the workload's fixed
 batch of pipelines again and again, in one closed loop with one client,
-for about ``--seconds``.  Every output is verified independently before it
-counts.  The last line of stdout is one JSON object:
+for about ``--seconds``, then sets up twice more.  Every output is
+verified independently before it counts.  The last line of stdout is one
+JSON object:
 
   --trace 0: the end-to-end metrics (setup_s, wall_ref, largest_ref,
              ok_ratio, peak_rss_mb);
@@ -39,13 +40,17 @@ from pathlib import Path
 ROOT = Path(__file__).resolve().parent.parent
 SRC = ROOT / "src"
 OUT = ROOT / ".perfbench"
-SETUPS = 3                              # set-ups per run; setup_s is their median
-WORKLOAD_NAMES = ("sofic", "solve", "realize", "windows", "deep")
+# set-ups per run, before and after the measured batches; setup_s is the
+# import time plus their median, which then spans the machine's speed
+# drift over the run
+SETUPS_BEFORE, SETUPS_AFTER = 3, 2
+COVERAGE = 0.5                          # least trace.coverage of a correct run
 
 
 def parse_args():
     p = argparse.ArgumentParser(description=__doc__.split("\n")[0])
-    p.add_argument("--workload", required=True, choices=WORKLOAD_NAMES)
+    p.add_argument("--workload", required=True,
+                   help="a key of workloads.WORKLOADS")
     p.add_argument("--seed", type=int, required=True)
     p.add_argument("--seconds", type=float, required=True)
     p.add_argument("--trace", type=int, choices=(0, 1), default=0)
@@ -142,9 +147,11 @@ def run_traced(pipelines, until: float):
     return untraced, traced, tracer
 
 
-def layer_metrics(batch: Batch, tracer, spans_self) -> tuple[dict, bool]:
-    """Per-layer self time, calls and errors of one traced batch, and
-    whether each pipeline's self times add up to its traced duration."""
+def layer_metrics(batch: Batch, tracer, spans_self) -> tuple[dict, float]:
+    """Per-layer self time, calls and errors of one traced batch, and the
+    least share, over its pipelines, of the steps' time (on the Session's
+    own clock) that layer spans cover; -1 when a pipeline's spans do not
+    fit inside its steps and its steps inside its root span."""
     import spans
 
     out = {}
@@ -152,20 +159,21 @@ def layer_metrics(batch: Batch, tracer, spans_self) -> tuple[dict, bool]:
         out[f"{layer}.self_s"] = 0.0
         out[f"{layer}.calls"] = 0
         out[f"{layer}.errors"] = 0
-    roots, covered = {}, {}
+    roots = []
     lo, hi = batch.spans
     for i in range(lo, hi):
         layer, _, start, end, parent, pipeline, error = tracer.spans[i]
         out[f"{layer}.self_s"] += spans_self[i]
         out[f"{layer}.calls"] += layer != "bench"
         out[f"{layer}.errors"] += error
-        covered[pipeline] = covered.get(pipeline, 0.0) + spans_self[i]
         if parent < 0:
-            roots[pipeline] = end - start
+            roots.append((end - start, end - start - spans_self[i]))
     del out["bench.calls"], out["bench.errors"]
-    adds_up = all(abs(covered[p] - d) <= 1e-6 * max(1.0, d)
-                  for p, d in roots.items()) and len(roots) == len(batch.times)
-    return out, adds_up
+    coverage = 1.0 if len(roots) == len(batch.times) else -1.0
+    for (root, covered), steps in zip(roots, batch.times):
+        fits = covered <= steps <= root
+        coverage = min(coverage, covered / steps if fits and steps else -1.0)
+    return out, coverage
 
 
 def main() -> int:
@@ -185,6 +193,10 @@ def main() -> int:
         return 2
     import workloads
     import_s = time.perf_counter() - started
+    if args.workload not in workloads.WORKLOADS:
+        print(f"perfbench: no workload {args.workload!r}; choose from "
+              + ", ".join(workloads.WORKLOADS), file=sys.stderr)
+        return 2
 
     OUT.mkdir(exist_ok=True)
     rundir = tempfile.mkdtemp(prefix=f"{args.workload}-", dir=OUT)
@@ -197,22 +209,28 @@ def main() -> int:
 
 def measure(args, build, import_s: float, rundir: str) -> int:
     setups, digests = [], set()
-    for i in range(SETUPS):
+
+    def set_up():
         t = time.perf_counter()
-        workdir = os.path.join(rundir, f"setup{i}")
+        workdir = os.path.join(rundir, f"setup{len(setups)}")
         os.mkdir(workdir)
         pipelines = build(args.seed, workdir)
         digests.add(digest_dir(workdir))
         run_batch(pipelines[:1], probe=False)
         setups.append(time.perf_counter() - t)
-    setup_s = import_s + statistics.median(setups)
+        return pipelines
 
+    for _ in range(SETUPS_BEFORE):
+        pipelines = set_up()
     until = time.perf_counter() + args.seconds
     if args.trace:
         untraced, batches, tracer = run_traced(pipelines, until)
     else:
         untraced, batches = [], run_batches(pipelines, until)
     everything = batches + untraced
+    for _ in range(SETUPS_AFTER):
+        set_up()
+    setup_s = import_s + statistics.median(setups)
 
     sessions = [b.session for b in everything]
     attempted = sum(s.attempted for s in sessions)
@@ -247,9 +265,8 @@ def measure(args, build, import_s: float, rundir: str) -> int:
             print(f"perfbench: failed {why}", file=sys.stderr)
 
     if args.trace:
-        metrics, adds_up = traced_metrics(args, batches, untraced, tracer,
-                                          pipelines)
-        correct = correct and adds_up
+        metrics = traced_metrics(args, batches, untraced, tracer, pipelines)
+        correct = correct and metrics["trace.coverage"][0] >= COVERAGE
     else:
         metrics = {
             "setup_s": (setup_s, "s"),
@@ -281,16 +298,17 @@ WORK_METRICS = {
 
 def traced_metrics(args, batches, untraced, tracer, pipelines):
     """Per-layer metrics, medians over the traced batches (work counts are
-    the same in every batch), and whether every pipeline's self times add
-    up to its traced duration.  Writes the spans and a per-pipeline table."""
+    the same in every batch), and trace.coverage, the least share of a
+    pipeline's step time that layer spans cover over every traced batch.
+    Writes the spans and a per-pipeline table."""
     import spans
 
     spans_self = spans.self_times(tracer.spans)
-    per_batch, adds_up = [], True
+    per_batch, coverage = [], 1.0
     for b in batches:
-        m, ok = layer_metrics(b, tracer, spans_self)
+        m, c = layer_metrics(b, tracer, spans_self)
         per_batch.append(m)
-        adds_up = adds_up and ok
+        coverage = min(coverage, c)
     metrics = {k: (statistics.median(m[k] for m in per_batch),
                    "s" if k.endswith("_s") else "count") for k in per_batch[0]}
     work = dict(batches[0].session.work)
@@ -308,6 +326,7 @@ def traced_metrics(args, batches, untraced, tracer, pipelines):
         statistics.median(b.wall for b in batches)
         - statistics.median(b.wall for b in warm), "s")
     metrics["trace.spans"] = (batches[0].spans[1] - batches[0].spans[0], "count")
+    metrics["trace.coverage"] = (coverage, "1")
 
     lo, hi = batches[0].spans
     table = {}
@@ -322,7 +341,7 @@ def traced_metrics(args, batches, untraced, tracer, pipelines):
                    "self_s_by_pipeline": table,
                    "inputs": [{"pipeline": p.name, **p.size} for p in pipelines]},
                   fh)
-    return metrics, adds_up
+    return metrics
 
 
 if __name__ == "__main__":

@@ -4,8 +4,9 @@ output, and counts operations, failures and work.
 A step is one call of ``rauzy.cli.main`` on documents in the work
 directory, or one library call for the parts the CLI does not expose.
 Any exception escaping the step (``RecursionError`` included) or an
-output that fails its check counts as a failed operation; the pipeline
-stops there and the benchmark goes on with the next one.
+output that fails its check counts as a failed operation; so does any
+exception the check itself raises, as on a report of the wrong shape.
+The pipeline stops there and the benchmark goes on with the next one.
 """
 
 from __future__ import annotations
@@ -83,7 +84,7 @@ class Session:
             verify.need(code in codes, f"unexpected exit code {code}")
             if check is not None:
                 check(report, code)
-        except (verify.Mismatch, ValueError, KeyError, TypeError, IndexError) as exc:
+        except Exception as exc:
             self.wrong += 1
             self._fail(argv[0], f"{type(exc).__name__}: {exc}")
         return report
@@ -101,7 +102,7 @@ class Session:
             self._fail(label, f"{type(exc).__name__} raised")
         try:
             check(result)
-        except (verify.Mismatch, ValueError, KeyError, TypeError, IndexError) as exc:
+        except Exception as exc:
             self.wrong += 1
             self._fail(label, f"{type(exc).__name__}: {exc}")
         return result

@@ -1,6 +1,7 @@
 """Tests of the benchmark itself: its checks reject tampered outputs, a
-failure inside ``main`` is counted and never propagates, tracing nests and
-accounts for all time, and one seed gives one set of reports.
+failure inside ``main`` or in a check is counted and never propagates,
+tracing nests and its coverage check can fail, and one seed gives one set
+of reports.
 
     python -m pytest -q perfbench/test_perfbench.py
 """
@@ -106,6 +107,40 @@ def test_any_exception_escaping_main_is_counted(monkeypatch):
     assert (s.attempted, s.failed, s.wrong) == (1, 1, 0)
 
 
+def test_check_raising_any_exception_counts_as_wrong():
+    s = Session()
+    # a report of the wrong shape: chi is a list, so the check's .items()
+    # raises AttributeError
+    with pytest.raises(Exception):
+        s.cli(["special-symbol", "--rank", "2", "--gen", "a", "--radius", "1"],
+              {0}, lambda r, c: verify.marker(
+                  {"witnesses": {"chi": [], "x0": []}}, 1))
+    with pytest.raises(Exception):
+        s.call("wrong type", lambda: [], lambda r: r.items())
+    assert (s.attempted, s.failed, s.wrong) == (2, 2, 2)
+
+
+def test_certificate_rejects_misstated_cycle_and_returns(tmp_path):
+    workloads.sofic(1, str(tmp_path))
+    path = str(tmp_path / "sofic-schreier8-0.json")
+    with open(path) as fh:
+        doc = json.load(fh)
+    _, rep = cli_report(["cycle", path, "--vertex", doc["vertices"][0]])
+    cycle = ",".join(map(str, rep["witnesses"]["cycle"]))
+    _, rep = cli_report(["selector", "synth", path, "--cycle", cycle])
+    sel = rep["witnesses"]["selector"]
+    sel_path = workloads.write(str(tmp_path), "selector.json", sel)
+    _, cert = cli_report(["certify-minimal", sel_path, "--window", "4",
+                          "--depth", "3"])
+    g = verify.Graph(doc)
+    verify.certificate(cert, g, sel, 4, 3)
+    for key, delta in (("cycle_length", 1), ("max_return_length", 50)):
+        tampered = json.loads(json.dumps(cert))
+        tampered["witnesses"][key] += delta
+        with pytest.raises(verify.Mismatch):
+            verify.certificate(tampered, g, sel, 4, 3)
+
+
 def test_morphism_count_matches_brute_force():
     for g in (graphs.letter_flow_graph(G), graphs.three_star(G)):
         vg = verify.Graph(serialize.graph_to_doc(g))
@@ -119,15 +154,12 @@ def test_morphism_count_matches_brute_force():
     assert [cyc.morphism_count(r) for r in range(8)] == [2] * 8
 
 
-def test_tracer_nests_and_accounts_for_all_time():
+def test_tracer_nests_calls_across_layers():
     tracer = spans.Tracer()
     original = cli.main
     tracer.install()
     try:
-        tracer.pipeline = "p"
-        root = tracer.open("bench", "p")
         cli_report(["special-symbol", "--rank", "2", "--gen", "a", "--radius", "2"])
-        tracer.close(root)
     finally:
         tracer.uninstall()
     assert cli.main is original
@@ -135,8 +167,24 @@ def test_tracer_nests_and_accounts_for_all_time():
     assert ("cli", "main") in names and ("special", "special_symbol_sft") in names
     parent = tracer.spans[names.index(("special", "special_symbol_sft"))][4]
     assert tracer.spans[parent][:2] == ["cli", "cmd_special_symbol"]
-    self_s = spans.self_times(tracer.spans)
-    assert abs(sum(self_s) - (root[3] - root[2])) < 1e-9
+
+
+def test_coverage_check_fails_without_wrappers(tmp_path):
+    import run
+    (pipeline,) = [p for p in workloads.windows(1, str(tmp_path))
+                   if p.name == "windows/special-return"]
+    tracer = spans.Tracer()
+    tracer.install()
+    try:
+        batch = run.run_batch([pipeline], tracer)
+    finally:
+        tracer.uninstall()
+    _, covered = run.layer_metrics(batch, tracer, spans.self_times(tracer.spans))
+    assert covered >= run.COVERAGE
+    # the same batch with no wrapper in place: the steps' time goes unseen
+    batch = run.run_batch([pipeline], tracer)
+    _, covered = run.layer_metrics(batch, tracer, spans.self_times(tracer.spans))
+    assert 0 <= covered < run.COVERAGE
 
 
 def run_bench(*args, cwd):

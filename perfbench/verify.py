@@ -155,17 +155,65 @@ def selector(g: Graph, cycle: list, doc: dict) -> None:
                  f"selector: t1[{i}][{x}] does not continue edge {i}")
 
 
-def certificate(report: dict, window: int, depth: int) -> None:
+def certificate(report: dict, g: Graph, sel: dict, window: int,
+                depth: int) -> None:
+    """`certified`, every probe run, the cycle echoed as the selector's,
+    and the gap within the criterion-4 bound (max return length - 1 +
+    n * ceil(window / n)), with the return lengths recomputed here."""
     need(report["verdict"] == "certified", "certify: not certified")
     w = report["witnesses"]
     need(w["window_radius"] == window and w["probe_length"] == depth,
          "certify: wrong sizes echoed")
     need(w["probes"] == ball_size(depth), "certify: not every probe ran")
-    n = w["cycle_length"]
+    n = len(sel["cycle"])
+    need(w["cycle_length"] == n, "certify: not the selector's cycle length")
     need(w["cycle_power"] == -(-window // n), "certify: wrong cycle power")
-    bound = (w["max_return_length"] - 1) + n * w["cycle_power"]
+    lo, hi = return_lengths(g, sel)
+    need(lo <= w["max_return_length"] <= hi,
+         f"certify: max return length {w['max_return_length']} is not "
+         f"that of shortest return words ({lo}..{hi})")
+    bound = (hi - 1) + n * w["cycle_power"]
     need(0 <= w["syndeticity_gap"] <= bound,
          f"certify: gap {w['syndeticity_gap']} above the bound {bound}")
+
+
+def return_lengths(g: Graph, sel: dict) -> tuple[int, int]:
+    """Bounds on the longest return word of the selector: for each edge, a
+    shortest reduced T1 walk to the cycle or its reverse, prolonged along
+    that cycle to its base edge (at least one step).  Shortest walks can
+    end on different edges, and so differ in length once prolonged;
+    returns the max over edges of the shortest and of the longest
+    choice."""
+    cycle = sel["cycle"]
+    n = len(cycle)
+    steps_to_base = {}
+    # where an edge lies on both, its place on the cycle counts
+    for track in ([g.edges[e][3] for e in reversed(cycle)], cycle):
+        for p, e in enumerate(track):
+            steps_to_base[e] = n - p if p else 0
+    lo = hi = 0
+    for e in range(len(g.edges)):
+        if e in steps_to_base:
+            lengths = [steps_to_base[e] or n]
+        else:
+            seen, frontier, lengths, d = {e}, [e], [], 0
+            while frontier and not lengths:
+                d += 1
+                nxt = []
+                for x in frontier:
+                    for s in LETTERS:
+                        f = sel["t1"][x][s]
+                        if s == INVERSE[g.edges[x][2]] or f in seen:
+                            continue
+                        seen.add(f)
+                        if f in steps_to_base:
+                            lengths.append(d + steps_to_base[f])
+                        else:
+                            nxt.append(f)
+                frontier = nxt
+            need(lengths, f"certify: edge {e} cannot reach the cycle")
+        lo, hi = max(lo, min(lengths)), max(hi, max(lengths))
+    return lo, hi
 
 
 def expansion(g: Graph, sel: dict, report: dict, radius: int) -> dict:
