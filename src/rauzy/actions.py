@@ -19,15 +19,16 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Hashable, Sequence
 
-from .graphs import RauzyGraph, require_valid
+from .graphs import RauzyGraph, _closure, is_connected, require_valid
 from .measured import MeasuredRauzyGraph, validate_balance
 from .patterns import WindowConfig
-from .words import EPSILON, FreeGroup, Letter, Word
+from .words import FreeGroup, Letter, _walk_ball
 
 
 class FiniteAction:
     """points: ordered labels; walks[i][p] = endpoint of the edge labeled
-    generator i at point index p.  Each walk must be a permutation."""
+    generator i at point index p.  Each walk must be a permutation.
+    moves[p][s] = endpoint of the edge labeled s at p, for every letter."""
 
     def __init__(self, group: FreeGroup, points: Sequence[Hashable],
                  walks: Sequence[Sequence[int]]):
@@ -42,25 +43,19 @@ class FiniteAction:
         for i, w in enumerate(self.walks):
             if sorted(w) != list(range(n)):
                 raise ValueError(f"walk for generator {i} is not a permutation")
-        self._inverse = tuple(
-            tuple(sorted(range(n), key=lambda p: w[p])) for w in self.walks)
+        moves = [[0] * (2 * group.rank) for _ in range(n)]
+        for i, w in enumerate(self.walks):
+            for p, q in enumerate(w):
+                moves[p][2 * i] = q
+                moves[q][2 * i + 1] = p
+        self.moves = tuple(map(tuple, moves))
 
     def __len__(self):
         return len(self.points)
 
     def step(self, p: int, s: Letter) -> int:
         """Follow the edge labeled s at point index p."""
-        if s & 1:
-            return self._inverse[s >> 1][p]
-        return self.walks[s >> 1][p]
-
-    def walk_word(self, p: int, w: Word) -> int:
-        for s in w:
-            p = self.step(p, s)
-        return p
-
-    def point_id(self, label: Hashable) -> int:
-        return self.points.index(label)
+        return self.moves[p][s]
 
     def to_graph(self) -> RauzyGraph:
         """The Schreier graph of the action (a deterministic Rauzy graph)."""
@@ -96,24 +91,13 @@ def is_equivariant(a1: FiniteAction, a2: FiniteAction, mapping: dict) -> bool:
 
 def orbits(act: FiniteAction) -> list[tuple]:
     """Connected components of the point set under all generators."""
-    n = len(act.points)
-    seen = [False] * n
+    seen: set = set()
     out = []
-    for p in range(n):
-        if seen[p]:
-            continue
-        comp = []
-        stack = [p]
-        seen[p] = True
-        while stack:
-            q = stack.pop()
-            comp.append(q)
-            for s in act.group.letters:
-                r = act.step(q, s)
-                if not seen[r]:
-                    seen[r] = True
-                    stack.append(r)
-        out.append(tuple(act.points[i] for i in sorted(comp)))
+    for p in range(len(act.points)):
+        if p not in seen:
+            comp = _closure((p,), act.moves)
+            seen |= comp
+            out.append(tuple(act.points[i] for i in sorted(comp)))
     return out
 
 
@@ -216,7 +200,7 @@ def make_transitive(act: FiniteAction, pi: dict, mg: MeasuredRauzyGraph,
     underlying graph makes the whole action transitive.
     """
     g = mg.graph
-    if not _graph_connected(g):
+    if not is_connected(g):
         raise ValueError("underlying measured graph is not connected; "
                          "a transitive realization does not exist")
     n = len(act.points)
@@ -258,22 +242,6 @@ def make_transitive(act: FiniteAction, pi: dict, mg: MeasuredRauzyGraph,
     return FiniteAction(act.group, act.points, walks)
 
 
-def _graph_connected(g: RauzyGraph) -> bool:
-    n = len(g.vertices)
-    if n == 0:
-        return False
-    seen = {0}
-    stack = [0]
-    while stack:
-        v = stack.pop()
-        for i in g.out_edges(v):
-            w = g.edges[i].target
-            if w not in seen:
-                seen.add(w)
-                stack.append(w)
-    return len(seen) == n
-
-
 def fiber_product(a1: FiniteAction, a2: FiniteAction,
                   f1: dict, f2: dict) -> tuple[FiniteAction, dict, dict]:
     """The amalgam over a common factor: points are the pairs with equal
@@ -311,14 +279,8 @@ def periodic_window(act: FiniteAction, base: int, radius: int) -> WindowConfig:
     """The Schreier coding of a point on B_radius: the value at g is the
     point reached by walking the letters of g from the base (the shift
     convention: the g-value is the inverse translate's class)."""
-    ball = act.group.ball(radius)
-    values = {EPSILON: act.points[base]}
-    state = {EPSILON: base}
-    for w in ball[1:]:
-        p = act.step(state[w[:-1]], w[-1])
-        state[w] = p
-        values[w] = act.points[p]
-    return WindowConfig(values)
+    state = _walk_ball(act.group.ball(radius), base, act.moves)
+    return WindowConfig((w, act.points[p]) for w, p in state.items())
 
 
 @dataclass(frozen=True)

@@ -295,7 +295,7 @@ def cmd_special_symbol(args):
             {"sft": sft_to_doc(sft),
              "proj": dict(sorted(proj.items())),
              "x0": window_to_doc(group, x0)["values"],
-             "chi": window_to_doc(group, chi.config)["values"]},
+             "chi": window_to_doc(group, chi)["values"]},
             True)
 
 

@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import random
 
-from .graphs import RauzyGraph, is_minimal
+from .graphs import RauzyGraph, is_connected, is_minimal
 from .measured import MeasuredRauzyGraph, integer_solution
 from .words import FreeGroup
 
@@ -47,19 +47,6 @@ def random_minimal_graph(group: FreeGroup, rng: random.Random,
     raise RuntimeError("no minimal graph found; raise max_attempts")
 
 
-def _connected(g: RauzyGraph) -> bool:
-    seen = {0}
-    stack = [0]
-    while stack:
-        v = stack.pop()
-        for i in g.out_edges(v):
-            w = g.edges[i].target
-            if w not in seen:
-                seen.add(w)
-                stack.append(w)
-    return len(seen) == len(g.vertices)
-
-
 def random_measured_graph(group: FreeGroup, rng: random.Random,
                           max_vertices: int,
                           max_attempts: int = 10_000) -> MeasuredRauzyGraph:
@@ -67,7 +54,7 @@ def random_measured_graph(group: FreeGroup, rng: random.Random,
     solution of its balance system, by rejection sampling."""
     for _ in range(max_attempts):
         g = random_valid_graph(group, rng, max_vertices)
-        if not _connected(g):
+        if not is_connected(g):
             continue
         mg = integer_solution(g)
         if mg is not None:

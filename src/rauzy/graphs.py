@@ -14,6 +14,7 @@ and label(e') is not the inverse of label(e).
 from __future__ import annotations
 
 from bisect import bisect_left
+from collections import deque
 from dataclasses import dataclass
 from itertools import combinations, permutations, product
 from typing import Hashable, Iterable, Sequence
@@ -190,18 +191,52 @@ def edge_reach(g: RauzyGraph) -> list[set]:
     """reach[e] = edges reachable from e in the edge automaton, e included
     (an f in reach[e] means some reduced path starts with e and ends with f)."""
     adj = edge_transitions(g)
-    out = []
-    for start in range(len(g.edges)):
-        seen = {start}
-        stack = [start]
-        while stack:
-            x = stack.pop()
-            for y in adj[x]:
-                if y not in seen:
-                    seen.add(y)
-                    stack.append(y)
-        out.append(seen)
-    return out
+    return [_closure((e,), adj) for e in range(len(g.edges))]
+
+
+def _closure(seeds: Iterable, succ) -> set:
+    """Every node reachable from the seeds along succ[node] (seeds included)."""
+    seen = set(seeds)
+    stack = list(seen)
+    while stack:
+        for y in succ[stack.pop()]:
+            if y not in seen:
+                seen.add(y)
+                stack.append(y)
+    return seen
+
+
+def _shortest_path(start, targets, succ) -> list | None:
+    """A shortest path along succ[node] from start to a node in targets, as
+    a node list beginning with start; None if no target is reachable.
+
+    Breadth first, trying successors in list order and stopping at the first
+    target discovered, so ties always break the same way."""
+    if start in targets:
+        return [start]
+    parent = {start: None}
+    queue = deque([start])
+    while queue:
+        x = queue.popleft()
+        for y in succ[x]:
+            if y in parent:
+                continue
+            parent[y] = x
+            if y in targets:
+                path = [y]
+                while parent[path[-1]] is not None:
+                    path.append(parent[path[-1]])
+                return path[::-1]
+            queue.append(y)
+    return None
+
+
+def is_connected(g: RauzyGraph) -> bool:
+    """Whether the graph is connected: every vertex is reachable from the
+    first, edges coming in reversed pairs (False without vertices)."""
+    succ = [[g.edges[i].target for i in g.out_edges(v)]
+            for v in range(len(g.vertices))]
+    return bool(succ) and len(_closure((0,), succ)) == len(succ)
 
 
 def is_minimal(g: RauzyGraph) -> tuple[bool, tuple[int, int] | None]:

@@ -17,9 +17,16 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Sequence
 
-from .graphs import RauzyGraph, is_minimal, require_valid
+from .graphs import (
+    RauzyGraph,
+    _closure,
+    _shortest_path,
+    edge_transitions,
+    is_minimal,
+    require_valid,
+)
 from .patterns import Alphabet, Pattern, Sft, WindowConfig
-from .words import EPSILON, Letter, Word, concat, inverse_letter
+from .words import EPSILON, Letter, Word, _walk_ball, concat, inverse_letter
 
 
 @dataclass(frozen=True)
@@ -101,17 +108,19 @@ def x_t(sel: EdgeSelector, w: Word) -> int:
     return sel.graph.edges[e].target
 
 
+def _walk_edges(sel: EdgeSelector, radius: int) -> dict:
+    """The edge T1(T0(w[0]), w[1:]) at each word w of B_radius; the identity
+    gets len(t1), the index of the extra row that stands for it (T0)."""
+    return _walk_ball(sel.graph.group.ball(radius), len(sel.t1),
+                      sel.t1 + (sel.t0,))
+
+
 def x_t_window(sel: EdgeSelector, radius: int) -> WindowConfig:
     """The window of x_T on B_radius, over the vertex alphabet."""
     g = sel.graph
-    ball = g.group.ball(radius)
-    state: dict = {}
-    values = {EPSILON: g.vertices[sel.v0]}
-    for w in ball[1:]:
-        e = sel.t0[w[0]] if len(w) == 1 else sel.t1[state[w[:-1]]][w[-1]]
-        state[w] = e
-        values[w] = g.vertices[g.edges[e].target]
-    return WindowConfig(values)
+    values = [g.vertices[e.target] for e in g.edges] + [g.vertices[sel.v0]]
+    return WindowConfig((w, values[e])
+                        for w, e in _walk_edges(sel, radius).items())
 
 
 STAR = "*"
@@ -124,15 +133,18 @@ def edge_symbol(i: int) -> str:
 def z0_window(sel: EdgeSelector, radius: int) -> WindowConfig:
     """The window of the distinguished point z0 of the sofic witness:
     star at the identity, T0(s) at s, then T1 along reduced words."""
+    values = [edge_symbol(i) for i in range(len(sel.t1))] + [STAR]
+    return WindowConfig((w, values[e])
+                        for w, e in _walk_edges(sel, radius).items())
+
+
+def _moves(sel: EdgeSelector) -> list[list[int]]:
+    """Per edge e, the T1 steps along letters s with label(e) * s reduced,
+    in letter order; the step along s has label s."""
     g = sel.graph
-    ball = g.group.ball(radius)
-    state: dict = {}
-    values = {EPSILON: STAR}
-    for w in ball[1:]:
-        e = sel.t0[w[0]] if len(w) == 1 else sel.t1[state[w[:-1]]][w[-1]]
-        state[w] = e
-        values[w] = edge_symbol(e)
-    return WindowConfig(values)
+    return [[row[s] for s in g.group.letters
+             if s != inverse_letter(g.edges[e].label)]
+            for e, row in enumerate(sel.t1)]
 
 
 def reachable_range(sel: EdgeSelector) -> frozenset:
@@ -142,20 +154,7 @@ def reachable_range(sel: EdgeSelector) -> frozenset:
     The closure stabilizes after at most |E| rounds, so it equals the true
     range of z0 on the nonidentity elements.
     """
-    g = sel.graph
-    seen = set(sel.t0)
-    stack = list(seen)
-    while stack:
-        e = stack.pop()
-        bad = inverse_letter(g.edges[e].label)
-        for s in g.group.letters:
-            if s == bad:
-                continue
-            f = sel.t1[e][s]
-            if f not in seen:
-                seen.add(f)
-                stack.append(f)
-    return frozenset(seen)
+    return frozenset(_closure(sel.t0, _moves(sel)))
 
 
 @dataclass(frozen=True)
@@ -255,31 +254,6 @@ def cycle_word(g: RauzyGraph, cycle: Sequence[int]) -> Word:
     return tuple(g.edges[e].label for e in cycle)
 
 
-def _bfs_edge_path(g: RauzyGraph, start: int, targets: set) -> list[int] | None:
-    """Shortest reduced path (as an edge list, start included) from `start`
-    to any edge in `targets`; None if unreachable."""
-    if start in targets:
-        return [start]
-    parent = {start: None}
-    frontier = [start]
-    while frontier:
-        nxt = []
-        for e in frontier:
-            bad = inverse_letter(g.edges[e].label)
-            for f in g.out_edges(g.edges[e].target):
-                if g.edges[f].label == bad or f in parent:
-                    continue
-                parent[f] = e
-                if f in targets:
-                    path = [f]
-                    while parent[path[-1]] is not None:
-                        path.append(parent[path[-1]])
-                    return path[::-1]
-                nxt.append(f)
-        frontier = nxt
-    return None
-
-
 def _simplify_cycle(g: RauzyGraph, cycle: list[int]) -> tuple:
     """Remove repeated edges by replacing each subcycle (e, ..., e) with e.
     Preserves the basepoint (the source of the first edge)."""
@@ -307,6 +281,7 @@ def find_cycle(g: RauzyGraph, v: int) -> tuple:
         raise ValueError(
             f"graph is not minimal (unreachable edge pair {witness}); "
             "cycles through every vertex are not guaranteed")
+    adj = edge_transitions(g)
 
     def attempt(s: Letter):
         """A reduced cycle at v starting with label s, or the failure path
@@ -314,7 +289,7 @@ def find_cycle(g: RauzyGraph, v: int) -> tuple:
         e = g.out_edges(v, s)[0]
         f = g.edges[g.out_edges(v, inverse_letter(s))[0]].bar
         # f has range v and label s
-        path = _bfs_edge_path(g, e, {f, g.edges[f].bar})
+        path = _shortest_path(e, {f, g.edges[f].bar}, adj)
         assert path is not None, "minimality guarantees a path"
         if path[-1] == f:
             return path, None
@@ -405,9 +380,10 @@ def synthesize_recurrent(g: RauzyGraph, cycle: Sequence[int]) -> EdgeSelector:
     # grow the reachable set edge by edge
     known = set(cyc) | set(cb)
     remaining = sorted(set(range(len(g.edges))) - known)
+    adj = edge_transitions(g)
     while remaining:
         e = remaining[0]
-        path = _bfs_edge_path(g, e, known)
+        path = _shortest_path(e, known, adj)
         assert path is not None, "minimality guarantees a path"
         for i in range(len(path) - 1):
             assign(path[i], g.edges[path[i + 1]].label, path[i + 1])
@@ -440,25 +416,6 @@ def synthesize_recurrent(g: RauzyGraph, cycle: Sequence[int]) -> EdgeSelector:
         if t0[s] is None:
             t0[s] = t1[e_last][s]
     return EdgeSelector(g, v0, tuple(t0), tuple(t1))
-
-
-def _t1_reach(sel: EdgeSelector, e: int) -> set:
-    """Edges reachable from e by T1 along words w with label(e) * w reduced
-    (e itself included, via the empty word)."""
-    g = sel.graph
-    seen = {e}
-    stack = [e]
-    while stack:
-        x = stack.pop()
-        bad = inverse_letter(g.edges[x].label)
-        for s in g.group.letters:
-            if s == bad:
-                continue
-            f = sel.t1[x][s]
-            if f not in seen:
-                seen.add(f)
-                stack.append(f)
-    return seen
 
 
 def validate_recurrent(sel: EdgeSelector, cycle: Sequence[int]) -> list[str]:
@@ -496,8 +453,9 @@ def validate_recurrent(sel: EdgeSelector, cycle: Sequence[int]) -> list[str]:
                     f"(iv) t1[{e}] and t1[{g.edges[enext].bar}] disagree at "
                     f"{g.group.format_letter(s)}")
     core = set(cyc) | set(cb)
+    moves = _moves(sel)
     for e in range(len(g.edges)):
-        if not _t1_reach(sel, e) & core:
+        if not _closure((e,), moves) & core:
             out.append(f"(v) edge {e} cannot reach the cycle or its reverse")
     return out
 
@@ -538,40 +496,15 @@ def _return_words(sel: EdgeSelector, cycle: Sequence[int]) -> dict:
     core = set(cyc) | set(cb)
     pos_c = {e: i for i, e in enumerate(cyc)}
     pos_b = {e: i for i, e in enumerate(cb)}
+    moves = _moves(sel)
     out = {}
     for e in range(len(g.edges)):
-        # BFS over T1 transitions with the reducedness side condition
-        parent: dict = {e: None}
-        frontier = [e]
-        hit = e if e in core else None
-        while hit is None and frontier:
-            nxt = []
-            for x in frontier:
-                bad = inverse_letter(g.edges[x].label)
-                for s in g.group.letters:
-                    if s == bad:
-                        continue
-                    f = sel.t1[x][s]
-                    if f in parent:
-                        continue
-                    parent[f] = (x, s)
-                    if f in core:
-                        hit = f
-                        break
-                    nxt.append(f)
-                if hit is not None:
-                    break
-            frontier = nxt
-        if hit is None:
+        path = _shortest_path(e, core, moves)
+        if path is None:
             raise ValueError(
                 f"edge {e} cannot reach the cycle; selector is not recurrent")
-        w = []
-        x = hit
-        while parent[x] is not None:
-            x, s = parent[x]
-            w.append(s)
-        w.reverse()
-        cur = hit
+        w = [g.edges[f].label for f in path[1:]]
+        cur = path[-1]
         # prolong along whichever cycle was hit until its base edge, making
         # the word nonempty
         if cur in pos_c:

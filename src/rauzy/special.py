@@ -12,7 +12,6 @@ Also here: finite return sets of a window configuration into a pattern.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from .patterns import Alphabet, Pattern, Sft, WindowConfig
 from .words import (
     EPSILON,
@@ -27,15 +26,7 @@ from .words import (
 MARK = "*"
 
 
-@dataclass(frozen=True)
-class MarkedPointWindow:
-    """A 0/1 window marking the visible part of a cyclic subgroup."""
-
-    config: WindowConfig
-    generator: Letter
-
-
-def chi_window(group: FreeGroup, s0: Letter, radius: int) -> MarkedPointWindow:
+def chi_window(group: FreeGroup, s0: Letter, radius: int) -> WindowConfig:
     """The indicator of <s0> restricted to B_radius (1 exactly on the powers
     of s0)."""
     if letter_sign(s0) != 1:
@@ -44,7 +35,7 @@ def chi_window(group: FreeGroup, s0: Letter, radius: int) -> MarkedPointWindow:
     for w in group.ball(radius):
         on_axis = all(x >> 1 == s0 >> 1 for x in w)
         values[w] = 1 if on_axis else 0
-    return MarkedPointWindow(WindowConfig(values), s0)
+    return WindowConfig(values)
 
 
 def x0_window(group: FreeGroup, s0: Letter, radius: int) -> WindowConfig:

@@ -12,7 +12,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import lru_cache
-from typing import Iterable, Iterator
+from typing import Iterable, Sequence
 
 Letter = int
 Word = tuple  # tuple[Letter, ...], reduced
@@ -91,6 +91,16 @@ def _ball(rank: int, k: int) -> tuple:
             if x != last:
                 out.append(w + (x,))
     return tuple(out)
+
+
+def _walk_ball(ball: Sequence[Word], root, table) -> dict:
+    """The state of a deterministic automaton after reading each word of a
+    prefix-closed ball in canonical order: `root` at the identity, and
+    table[state][x] after appending the letter x."""
+    state = {EPSILON: root}
+    for w in ball[1:]:
+        state[w] = table[state[w[:-1]]][w[-1]]
+    return state
 
 
 @dataclass(frozen=True)
@@ -187,13 +197,3 @@ class FreeGroup:
         if s in ("", "e"):
             return EPSILON
         return reduce_word(self.parse_letter(c) for c in s)
-
-
-def enumerate_reduced_words(rank: int, length: int) -> Iterator[Word]:
-    """All reduced words of exactly the given length, in lexicographic order."""
-    if length == 0:
-        yield EPSILON
-        return
-    group = FreeGroup(rank)
-    for w in group.sphere(length):
-        yield w

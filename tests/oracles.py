@@ -68,3 +68,22 @@ def symmetry_orbit(g):
             for p in permutations(range(n))
             for q in permutations(range(d))
             for flips in product((0, 1), repeat=d)}
+
+
+def components_oracle(n, pairs):
+    """The classes of 0..n-1 under the equivalence generated by pairs, by
+    union-find, as a set of frozensets."""
+    parent = list(range(n))
+
+    def find(x):
+        while parent[x] != x:
+            parent[x] = parent[parent[x]]
+            x = parent[x]
+        return x
+
+    for a, b in pairs:
+        parent[find(a)] = find(b)
+    classes = {}
+    for x in range(n):
+        classes.setdefault(find(x), set()).add(x)
+    return {frozenset(c) for c in classes.values()}

@@ -202,12 +202,12 @@ def test_criterion_9_special_symbol():
     projected = {Pattern(special.project_config(c, proj).items)
                  for c in enumerate_window(sft, ball2)}
     chi = special.chi_window(group, 0, 2 + 6)
-    scan = set(restrict_language([chi.config], ball2).patterns)
+    scan = set(restrict_language([chi], ball2).patterns)
     scan.add(Pattern({w: 0 for w in ball2}))
     assert projected == scan
     one = Pattern({EPSILON: 1})
     for depth in range(6):
-        window = special.chi_window(group, 0, depth).config
+        window = special.chi_window(group, 0, depth)
         assert len(special.return_set(group, window, one, depth)) == \
             2 * depth + 1
     ok(9, "projected marker-SFT language equals the indicator's orbit "

@@ -3,6 +3,7 @@ from fractions import Fraction
 
 import pytest
 
+from oracles import components_oracle
 from rauzy import actions, graphs
 from rauzy.actions import FiniteAction
 from rauzy.generate import random_measured_graph
@@ -87,6 +88,37 @@ def test_orbits(group2):
     assert len(actions.orbits(mixed)) == 2
 
 
+def _random_action(group, rng):
+    """A seeded action on points 0..n-1 whose walks each shuffle the points
+    within the same random blocks, so that some draws are intransitive."""
+    n = rng.randint(1, 8)
+    block = [rng.randrange(rng.randint(1, 3)) for _ in range(n)]
+    walks = []
+    for _ in range(group.rank):
+        w = list(range(n))
+        for b in set(block):
+            members = [p for p in range(n) if block[p] == b]
+            images = members[:]
+            rng.shuffle(images)
+            for p, q in zip(members, images):
+                w[p] = q
+        walks.append(w)
+    return FiniteAction(group, range(n), walks)
+
+
+def test_orbits_and_connectivity_match_union_find(group2):
+    rng = random.Random(11)
+    verdicts = set()
+    for _ in range(200):
+        act = _random_action(group2, rng)
+        classes = components_oracle(
+            len(act), [(p, w[p]) for w in act.walks for p in range(len(act))])
+        assert actions.orbits(act) == sorted(tuple(sorted(c)) for c in classes)
+        assert graphs.is_connected(act.to_graph()) == (len(classes) == 1)
+        verdicts.add(len(classes) == 1)
+    assert verdicts == {True, False}
+
+
 def test_fiber_product_over_trivial_base(group2):
     swap = FiniteAction(group2, ["x0", "x1"], [[1, 0], [0, 1]])
     three = FiniteAction(group2, ["y0", "y1", "y2"],
@@ -140,6 +172,22 @@ def test_periodic_window_alternates(group2):
     assert win[(0,)] == "x1"
     assert win[(0, 0)] == "x0"
     assert win[(2,)] == "x0"
+
+
+def test_periodic_window_follows_walks_and_inverses(group2):
+    rng = random.Random(12)
+    ball = group2.ball(5)
+    for _ in range(30):
+        act = _random_action(group2, rng)
+        inverses = [{q: p for p, q in enumerate(w)} for w in act.walks]
+        base = rng.randrange(len(act))
+        win = actions.periodic_window(act, base, 5)
+        assert set(win.domain) == set(ball)
+        for w in ball:
+            p = base
+            for s in w:
+                p = inverses[s >> 1][p] if s & 1 else act.walks[s >> 1][p]
+            assert win[w] == act.points[p]
 
 
 def test_periodic_window_admissible_in_schreier_sft(group2, star3):

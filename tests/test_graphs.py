@@ -2,7 +2,12 @@ import random
 
 import pytest
 
-from oracles import conditions_oracle, minimality_oracle, symmetry_orbit
+from oracles import (
+    components_oracle,
+    conditions_oracle,
+    minimality_oracle,
+    symmetry_orbit,
+)
 from rauzy import graphs
 from rauzy.generate import random_valid_graph
 from rauzy.patterns import enumerate_window, restrict_language
@@ -293,3 +298,16 @@ def test_edge_lookup(cyc2):
     bar = cyc2.edges[e.bar]
     assert bar.source == e.target and bar.target == e.source
     assert bar.label == inverse_letter(e.label)
+
+
+def test_is_connected_matches_union_find(group2):
+    rng = random.Random(13)
+    verdicts = set()
+    for _ in range(200):
+        g = random_valid_graph(group2, rng, 6, density=0.05)
+        classes = components_oracle(
+            len(g.vertices), [(e.source, e.target) for e in g.edges])
+        assert graphs.is_connected(g) == (len(classes) == 1)
+        verdicts.add(len(classes) == 1)
+    assert verdicts == {True, False}
+    assert not graphs.is_connected(graphs.RauzyGraph(group2, [], []))

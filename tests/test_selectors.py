@@ -1,3 +1,5 @@
+import dataclasses
+import hashlib
 import random
 
 import pytest
@@ -74,6 +76,28 @@ def test_x_t_always_admissible():
         sel = selectors.least_selector(g, rng.randrange(len(g.vertices)))
         w = selectors.x_t_window(sel, 3)
         assert is_locally_admissible(graphs.xg_sft(g), w)
+
+
+def test_ball_windows_agree_with_x_t_word_by_word():
+    group = FreeGroup(2)
+    rng = random.Random(23)
+    ball = group.ball(5)
+    for _ in range(8):
+        g = random_minimal_graph(group, rng, 4)
+        v = rng.randrange(len(g.vertices))
+        edge_of = {selectors.edge_symbol(i): i for i in range(len(g.edges))}
+        for sel in (selectors.least_selector(g, v),
+                    selectors.synthesize_recurrent(
+                        g, selectors.find_cycle(g, v))):
+            xw = selectors.x_t_window(sel, 5)
+            z0 = selectors.z0_window(sel, 5)
+            assert set(xw.domain) == set(z0.domain) == set(ball)
+            assert z0[EPSILON] == STAR
+            for w in ball:
+                x = selectors.x_t(sel, w)
+                assert xw[w] == g.vertices[x]
+                if w:
+                    assert g.edges[edge_of[z0[w]]].target == x
 
 
 def test_find_cycle_rose(rose2):
@@ -358,3 +382,32 @@ def test_selector_validation_catches_bad_t0(cyc2, cyc2_selector):
     bad_t0[0] = sel.t0[1]  # wrong label at slot a
     with pytest.raises(ValueError):
         EdgeSelector(cyc2, sel.v0, tuple(bad_t0), sel.t1)
+
+
+# SHA-256 of _tie_break_records().  Cycles, selectors and return lengths
+# depend on how the breadth-first searches break ties, and all of them appear
+# in CLI reports, so the digest must not move.
+TIE_BREAK_DIGEST = (
+    "62ff417872f9654f1009528f6c16d6352d1948185ba9a01fe6cf68fc0d348f91")
+
+
+def _tie_break_records():
+    group = FreeGroup(2)
+    rng = random.Random(2024)
+    records = []
+    for _ in range(20):
+        g = random_minimal_graph(group, rng, 5)
+        for v in range(len(g.vertices)):
+            cycle = selectors.find_cycle(g, v)
+            sel = selectors.synthesize_recurrent(g, cycle)
+            cert = selectors.certify_minimality(sel, cycle, 2, 4)
+            records.append((g.edges, cycle, sel.t0, sel.t1,
+                            sorted(selectors.reachable_range(sel)),
+                            dataclasses.astuple(cert)))
+    return records
+
+
+def test_bfs_tie_breaks_golden_digest():
+    records = _tie_break_records()
+    digest = hashlib.sha256(repr(records).encode()).hexdigest()
+    assert digest == TIE_BREAK_DIGEST

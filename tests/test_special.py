@@ -21,16 +21,15 @@ def axis_words(ball, gen=0):
 
 
 def test_chi_window_values(group2):
-    chi = special.chi_window(group2, 0, 1)
-    c = chi.config
+    c = special.chi_window(group2, 0, 1)
     assert c[EPSILON] == 1 and c[(0,)] == 1 and c[(1,)] == 1
     assert c[(2,)] == 0 and c[(3,)] == 0
-    assert special.chi_window(group2, 0, 0).config[EPSILON] == 1
+    assert special.chi_window(group2, 0, 0)[EPSILON] == 1
 
 
 def test_chi_window_counts(group2):
     for k in range(5):
-        c = special.chi_window(group2, 0, k).config
+        c = special.chi_window(group2, 0, k)
         assert sum(v for _, v in c.items) == 2 * k + 1
 
 
@@ -72,7 +71,7 @@ def test_projected_language_is_chi_orbit_language(group2, sft_proj):
         projected = {Pattern(special.project_config(c, proj).items)
                      for c in enumerate_window(sft, ball)}
         chi = special.chi_window(group2, 0, radius + slack)
-        scan = set(restrict_language([chi.config], ball).patterns)
+        scan = set(restrict_language([chi], ball).patterns)
         scan.add(Pattern({w: 0 for w in ball}))
         assert projected == scan
 
@@ -80,7 +79,7 @@ def test_projected_language_is_chi_orbit_language(group2, sft_proj):
 def test_return_set_chi(group2):
     one_at_center = Pattern({EPSILON: 1})
     for depth in range(6):
-        chi = special.chi_window(group2, 0, depth).config
+        chi = special.chi_window(group2, 0, depth)
         rs = special.return_set(group2, chi, one_at_center, depth)
         assert len(rs) == 2 * depth + 1
         assert set(rs) == {w for w in group2.ball(depth)
@@ -88,13 +87,13 @@ def test_return_set_chi(group2):
 
 
 def test_return_set_empty_when_pattern_absent(group2):
-    chi = special.chi_window(group2, 0, 3).config
+    chi = special.chi_window(group2, 0, 3)
     absent = Pattern({EPSILON: 1, (2,): 1})  # 1 at both e and b: impossible
     assert special.return_set(group2, chi, absent, 1) == ()
 
 
 def test_return_set_insufficient_window(group2):
-    chi = special.chi_window(group2, 0, 1).config
+    chi = special.chi_window(group2, 0, 1)
     with pytest.raises(ValueError, match="missing"):
         special.return_set(group2, chi, Pattern({EPSILON: 1}), 2)
 
@@ -114,7 +113,7 @@ def test_return_set_on_selector_point(group2, cyc2):
 
 
 def test_return_set_equivariance(group2):
-    chi = special.chi_window(group2, 0, 6).config
+    chi = special.chi_window(group2, 0, 6)
     u = Pattern({EPSILON: 1})
     base = set(special.return_set(group2, chi, u, 2))
     for h in [(0,), (2,), (0, 2)]:
