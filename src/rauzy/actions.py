@@ -19,7 +19,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Hashable, Sequence
 
-from .graphs import RauzyGraph, _closure, is_connected, require_valid
+from .graphs import (RauzyGraph, _closure, _UnionFind, is_connected,
+                     require_valid)
 from .measured import MeasuredRauzyGraph, validate_balance
 from .patterns import WindowConfig
 from .words import FreeGroup, Letter, _walk_ball
@@ -160,23 +161,25 @@ def build_finite_action(mg: MeasuredRauzyGraph) -> tuple[FiniteAction, dict]:
             fiber[v].append(len(points))
             points.append((label, i))
     n = len(points)
-    # partial relation: out_slot[p][s] = target point or None
+    # partial relation: out_slot[p][s] = target point or None; the filled
+    # slots of a fiber are a prefix of it, filled[v][s] long
     out_slot = [[None] * (2 * g.group.rank) for _ in range(n)]
+    filled = [[0] * (2 * g.group.rank) for _ in g.vertices]
 
     for ei, e in enumerate(g.edges):
         if e.bar < ei:
             continue  # place each bar pair once
         s, sb = e.label, g.edges[e.bar].label
         for _ in range(int(mg.m[ei])):
-            p = next((p for p in fiber[e.source] if out_slot[p][s] is None),
-                     None)
-            q = next((q for q in fiber[e.target] if out_slot[q][sb] is None),
-                     None)
-            if p is None or q is None:
+            i, j = filled[e.source][s], filled[e.target][sb]
+            if i == len(fiber[e.source]) or j == len(fiber[e.target]):
                 raise RuntimeError(
                     "greedy extension stalled; balance should prevent this")
+            p, q = fiber[e.source][i], fiber[e.target][j]
             out_slot[p][s] = q
             out_slot[q][sb] = p
+            filled[e.source][s] += 1
+            filled[e.target][sb] += 1
 
     walks = []
     for i in range(g.group.rank):
@@ -194,48 +197,28 @@ def make_transitive(act: FiniteAction, pi: dict, mg: MeasuredRauzyGraph,
     """Merge the orbits of an action built from a connected measured graph
     into one, preserving the projection and edge multiplicities.
 
-    Repeatedly picks two points of one fiber lying in distinct cycles of the
-    distinguished generator's walk and swaps their images, which merges the
-    two cycles; once every fiber lies in a single cycle, connectivity of the
+    Walks each fiber in ascending order and, at every point lying in a
+    cycle of the distinguished generator's walk other than the fiber's
+    first point's, swaps the two points' images, which merges the two
+    cycles; once every fiber lies in a single cycle, connectivity of the
     underlying graph makes the whole action transitive.
     """
     g = mg.graph
     if not is_connected(g):
         raise ValueError("underlying measured graph is not connected; "
                          "a transitive realization does not exist")
-    n = len(act.points)
     fibers: dict = {}
     for p, pt in enumerate(act.points):
         fibers.setdefault(pi[pt], []).append(p)
     tau = list(act.walks[generator])
-
-    def cycle_ids():
-        cid = [-1] * n
-        c = 0
-        for p in range(n):
-            if cid[p] != -1:
-                continue
-            q = p
-            while cid[q] == -1:
-                cid[q] = c
-                q = tau[q]
-            c += 1
-        return cid
-
-    changed = True
-    while changed:
-        changed = False
-        cid = cycle_ids()
-        for pts in fibers.values():
-            groups = {}
-            for p in pts:
-                groups.setdefault(cid[p], p)
-            if len(groups) > 1:
-                reps = sorted(groups.values())
-                p1, p2 = reps[0], reps[1]
-                tau[p1], tau[p2] = tau[p2], tau[p1]
-                changed = True
-                break
+    cycles = _UnionFind()
+    for p, q in enumerate(tau):
+        cycles.union(p, q)
+    for first, *rest in fibers.values():
+        for p in rest:
+            if cycles.find(p) != cycles.find(first):
+                tau[first], tau[p] = tau[p], tau[first]
+                cycles.union(p, first)
 
     walks = [list(w) for w in act.walks]
     walks[generator] = tau

@@ -206,6 +206,25 @@ def _closure(seeds: Iterable, succ) -> set:
     return seen
 
 
+class _UnionFind:
+    """Disjoint sets over hashable nodes; union(x, y) puts x's class under
+    y's root."""
+
+    def __init__(self):
+        self.parent = {}
+
+    def find(self, x):
+        parent = self.parent
+        parent.setdefault(x, x)
+        while parent[x] != x:
+            parent[x] = parent[parent[x]]
+            x = parent[x]
+        return x
+
+    def union(self, x, y):
+        self.parent[self.find(x)] = self.find(y)
+
+
 def _shortest_path(start, targets, succ) -> list | None:
     """A shortest path along succ[node] from start to a node in targets, as
     a node list beginning with start; None if no target is reachable.

@@ -2,11 +2,13 @@
 
 The balance equations say that at every vertex and for every letter, the
 outgoing and the incoming edge weights each sum to the vertex weight, and
-bar-paired edges carry equal weight.  Everything is exact rational
-arithmetic: the homogeneous system is solved by Gaussian elimination over
-Fraction, and a strictly positive solution is found (or refuted) by a small
-exact phase-1 simplex with Bland's rule over the kernel coefficients.
-Positive rational solutions scale to integer ones by clearing denominators.
+bar-paired edges carry equal weight.  Giving each bar pair one weight makes
+every in-balance equation an out-balance one, so the system solved has one
+unknown per vertex and per bar pair and one row per (vertex, letter).  A
+solution with every coordinate >= 1 (strict positivity, by homogeneity) is
+found or refuted by an exact phase-1 simplex over Fraction with Bland's
+rule; positive rational solutions scale to integer ones by clearing
+denominators.
 """
 
 from __future__ import annotations
@@ -69,165 +71,96 @@ def validate_balance(mg: MeasuredRauzyGraph) -> list[BalanceViolation]:
         if mg.m[i] != mg.m[e.bar]:
             out.append(BalanceViolation("bar", i, None,
                                         Fraction(mg.m[i]), Fraction(mg.m[e.bar])))
-    n = len(g.vertices)
-    for v in range(n):
+    for v in range(len(g.vertices)):
         for s in g.group.letters:
             o = sum((mg.m[i] for i in g.out_edges(v, s)), Fraction(0))
             if o != mg.mu[v]:
                 out.append(BalanceViolation(
                     "out", g.vertices[v], s, o, Fraction(mg.mu[v])))
-            i_sum = sum((mg.m[j] for j, e in enumerate(g.edges)
-                         if e.target == v and e.label == s), Fraction(0))
+            # the edges into v labeled s are the bars of those leaving v
+            # labeled s^-1
+            i_sum = sum((mg.m[g.edges[i].bar] for i in g.out_edges(v, s ^ 1)),
+                        Fraction(0))
             if i_sum != mg.mu[v]:
                 out.append(BalanceViolation(
                     "in", g.vertices[v], s, i_sum, Fraction(mg.mu[v])))
     return out
 
 
-# -- exact rational linear algebra
-
-def rational_kernel(rows: Sequence[Sequence[Fraction]], n_cols: int) -> list[list[Fraction]]:
-    """A basis of the kernel of the matrix, by Gaussian elimination over
-    exact rationals.  Basis vectors are indexed by the free columns, with a
-    1 in their own column."""
-    mat = [list(map(Fraction, row)) for row in rows]
-    pivots = []
-    r = 0
-    for c in range(n_cols):
-        pivot = None
-        for i in range(r, len(mat)):
-            if mat[i][c] != 0:
-                pivot = i
-                break
-        if pivot is None:
-            continue
-        mat[r], mat[pivot] = mat[pivot], mat[r]
-        inv = 1 / mat[r][c]
-        mat[r] = [x * inv for x in mat[r]]
-        for i in range(len(mat)):
-            if i != r and mat[i][c] != 0:
-                f = mat[i][c]
-                mat[i] = [a - f * b for a, b in zip(mat[i], mat[r])]
-        pivots.append(c)
-        r += 1
-    free = [c for c in range(n_cols) if c not in pivots]
-    basis = []
-    for fc in free:
-        vec = [Fraction(0)] * n_cols
-        vec[fc] = Fraction(1)
-        for i, pc in enumerate(pivots):
-            vec[pc] = -mat[i][fc]
-        basis.append(vec)
-    return basis
-
-
 class Infeasible(Exception):
     """The exact feasibility program has no solution."""
 
 
-def solve_at_least_one(constraints: Sequence[Sequence[Fraction]]) -> list[Fraction]:
-    """Find free rationals alpha with (constraints @ alpha) >= 1 coordinatewise,
-    by phase-1 simplex with Bland's rule, or raise Infeasible.
+def solve_at_least_one(rows: Sequence[Sequence[Fraction]],
+                       n_cols: int) -> list[Fraction]:
+    """An exact x with rows @ x = 0 and every coordinate >= 1, or raise
+    Infeasible.
 
-    Each constraint row is the coefficient vector of one >= 1 inequality.
+    Phase-1 simplex with Bland's rule on y = x - 1 >= 0, i.e. rows @ y = b
+    with b = -(rows @ 1), rows negated where b < 0.  Each row starts with an
+    artificial basic variable; an artificial that leaves the basis never
+    returns, so the tableau holds no artificial columns.
     """
-    n_rows = len(constraints)
-    n_alpha = len(constraints[0]) if n_rows else 0
-    # variables: alpha = u - v with u, v >= 0, plus one surplus per row;
-    # equalities A u - A v - s = 1, then artificials to start the basis.
-    n_struct = 2 * n_alpha + n_rows
-    rows = []
-    rhs = []
-    for i, row in enumerate(constraints):
-        r = [Fraction(0)] * n_struct
-        for j, a in enumerate(row):
-            r[j] = Fraction(a)
-            r[n_alpha + j] = -Fraction(a)
-        r[2 * n_alpha + i] = Fraction(-1)
-        rows.append(r)
-        rhs.append(Fraction(1))
-
-    # artificial columns form the initial identity basis
-    n_total = n_struct + n_rows
     tableau = []
-    for i in range(n_rows):
-        row = rows[i] + [Fraction(0)] * n_rows
-        b = rhs[i]
-        if b < 0:
-            row = [-x for x in row]
-            b = -b
-        row[n_struct + i] = Fraction(1)
-        tableau.append(row + [b])
-    basis = [n_struct + i for i in range(n_rows)]
-
-    # objective: minimize the sum of artificials; reduced cost of column j
-    # is its own cost (1 for artificials, 0 otherwise) minus its column sum
-    cost = [Fraction(0)] * (n_total + 1)
-    for j in range(n_struct, n_total):
-        cost[j] = Fraction(1)
-    for i in range(n_rows):
-        for j in range(n_total + 1):
-            cost[j] -= tableau[i][j]
+    for row in rows:
+        r = [Fraction(a) for a in row]
+        r.append(-sum(r))
+        tableau.append([-a for a in r] if r[-1] < 0 else r)
+    # artificial i is labelled n_cols + i, after every structural column
+    basis = [n_cols + i for i in range(len(tableau))]
+    # reduced costs of minimizing the sum of artificials; cost[-1] is
+    # minus the objective
+    cost = [Fraction(0)] * (n_cols + 1)
+    for r in tableau:
+        cost = [c - a for c, a in zip(cost, r)]
 
     while True:
-        enter = next((j for j in range(n_total) if cost[j] < 0), None)
+        enter = next((j for j in range(n_cols) if cost[j] < 0), None)
         if enter is None:
             break
-        ratios = [
-            (tableau[i][n_total] / tableau[i][enter], basis[i], i)
-            for i in range(n_rows) if tableau[i][enter] > 0
-        ]
-        if not ratios:
-            raise Infeasible("phase-1 objective unbounded (cannot happen)")
-        _, _, leave = min(ratios)  # Bland: least ratio, then least basis index
+        # Bland: least ratio, then least basis index
+        _, _, leave = min((r[-1] / r[enter], basis[i], i)
+                          for i, r in enumerate(tableau) if r[enter] > 0)
         piv = tableau[leave][enter]
-        tableau[leave] = [x / piv for x in tableau[leave]]
-        for i in range(n_rows):
-            if i != leave and tableau[i][enter] != 0:
-                f = tableau[i][enter]
-                tableau[i] = [a - f * b
-                              for a, b in zip(tableau[i], tableau[leave])]
-        if cost[enter] != 0:
-            f = cost[enter]
-            cost = [a - f * b for a, b in zip(cost, tableau[leave])]
+        prow = tableau[leave] = [x / piv for x in tableau[leave]]
+        support = [(j, x) for j, x in enumerate(prow) if x]
+        for r in (*tableau, cost):
+            f = r[enter]
+            if f and r is not prow:
+                for j, x in support:
+                    r[j] -= f * x
         basis[leave] = enter
 
-    if -cost[n_total] != 0:
+    if cost[-1] != 0:
         raise Infeasible("no solution with every coordinate >= 1")
-    solution = [Fraction(0)] * n_struct
-    for i, var in enumerate(basis):
-        if var < n_struct:
-            solution[var] = tableau[i][n_total]
-    return [solution[j] - solution[n_alpha + j] for j in range(n_alpha)]
+    x = [Fraction(1)] * n_cols
+    for r, var in zip(tableau, basis):
+        if var < n_cols:
+            x[var] += r[-1]
+    return x
 
 
 def _balance_system(g: RauzyGraph) -> tuple:
-    """The homogeneous balance + bar-symmetry system.  Unknowns are ordered
-    mu(v_0), ..., mu(v_{n-1}), m(e_0), ..., m(e_{k-1})."""
+    """The homogeneous balance system over one weight per vertex and one per
+    bar pair: a row -mu(v) + sum of the pair weights leaving v labeled s per
+    (vertex, letter).  Returns (rows, n_cols, pair) with pair[i] the column
+    of edge i's bar pair; the vertex weights take columns 0..n-1."""
     n = len(g.vertices)
-    k = len(g.edges)
-    n_cols = n + k
-    rows = []
+    pair = [0] * len(g.edges)
+    n_cols = n
     for i, e in enumerate(g.edges):
         if i < e.bar:
-            row = [Fraction(0)] * n_cols
-            row[n + i] = Fraction(1)
-            row[n + e.bar] = Fraction(-1)
-            rows.append(row)
+            pair[i] = pair[e.bar] = n_cols
+            n_cols += 1
+    rows = []
     for v in range(n):
         for s in g.group.letters:
             row = [Fraction(0)] * n_cols
             row[v] = Fraction(-1)
             for i in g.out_edges(v, s):
-                row[n + i] = Fraction(1)
+                row[pair[i]] += 1
             rows.append(row)
-            row = [Fraction(0)] * n_cols
-            row[v] = Fraction(-1)
-            for i, e in enumerate(g.edges):
-                if e.target == v and e.label == s:
-                    row[n + i] += Fraction(1)
-            rows.append(row)
-    return rows, n_cols
+    return rows, n_cols, pair
 
 
 def _to_integers(values: Iterable[Fraction], normalize: bool) -> list[int]:
@@ -250,10 +183,9 @@ def integer_solution(g: RauzyGraph,
     full-support solution exists.
 
     With a balanced full-support rational hint, simply clears denominators
-    by their lcm.  Without one, computes an exact rational kernel basis of
-    the balance system and searches for a kernel vector with every
-    coordinate >= 1 (equivalent to strict positivity, by homogeneity); the
-    found vector is scaled to integers and divided by the gcd.
+    by their lcm.  Without one, solves the balance system for a vector with
+    every coordinate >= 1, expands the bar-pair weights to edges, scales to
+    integers and divides by the gcd.
     """
     require_valid(g)
     n = len(g.vertices)
@@ -269,20 +201,14 @@ def integer_solution(g: RauzyGraph,
         ints = _to_integers((*hint.mu, *hint.m), normalize=False)
         return MeasuredRauzyGraph(g, tuple(ints[:n]), tuple(ints[n:]))
 
-    rows, n_cols = _balance_system(g)
-    basis = rational_kernel(rows, n_cols)
-    if not basis:
-        return None
-    constraints = [[basis[b][c] for b in range(len(basis))]
-                   for c in range(n_cols)]
+    if not n:
+        return None  # no vertex to carry a positive weight
+    rows, n_cols, pair = _balance_system(g)
     try:
-        alpha = solve_at_least_one(constraints)
+        x = solve_at_least_one(rows, n_cols)
     except Infeasible:
         return None
-    vec = [sum(basis[b][c] * alpha[b] for b in range(len(basis)))
-           for c in range(n_cols)]
-    assert all(x >= 1 for x in vec)
-    ints = _to_integers(vec, normalize=True)
+    ints = _to_integers([*x[:n], *(x[c] for c in pair)], normalize=True)
     solution = MeasuredRauzyGraph(g, tuple(ints[:n]), tuple(ints[n:]))
     assert not validate_balance(solution) and solution.has_full_support()
     return solution

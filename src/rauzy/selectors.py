@@ -20,6 +20,7 @@ from typing import Sequence
 from .graphs import (
     RauzyGraph,
     _closure,
+    _UnionFind,
     _shortest_path,
     edge_transitions,
     is_minimal,
@@ -309,20 +310,6 @@ def find_cycle(g: RauzyGraph, v: int) -> tuple:
     violations = check_cycle(g, simplified)
     assert not violations, f"cycle construction failed: {violations}"
     return simplified
-
-
-class _UnionFind:
-    def __init__(self):
-        self.parent = {}
-
-    def find(self, x):
-        p = self.parent.setdefault(x, x)
-        if p != x:
-            p = self.parent[x] = self.find(p)
-        return p
-
-    def union(self, x, y):
-        self.parent[self.find(x)] = self.find(y)
 
 
 def synthesize_recurrent(g: RauzyGraph, cycle: Sequence[int]) -> EdgeSelector:

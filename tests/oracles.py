@@ -87,3 +87,57 @@ def components_oracle(n, pairs):
     for x in range(n):
         classes.setdefault(find(x), set()).add(x)
     return {frozenset(c) for c in classes.values()}
+
+
+def balance_matrix(g):
+    """The homogeneous balance system over mu(v_0..v_{n-1}) then
+    m(e_0..e_{k-1}), with integer entries: a bar row m(e) - m(bar e) per
+    edge, then per (vertex, letter) an out-row and an in-row summing the
+    edges that leave or enter the vertex with that label, minus mu."""
+    n, k = len(g.vertices), len(g.edges)
+    rows = []
+    for i, e in enumerate(g.edges):
+        row = [0] * (n + k)
+        row[n + i] += 1
+        row[n + e.bar] -= 1
+        rows.append(row)
+    for v in range(n):
+        for s in g.group.letters:
+            for end in ("source", "target"):
+                row = [0] * (n + k)
+                row[v] = -1
+                for i, e in enumerate(g.edges):
+                    if getattr(e, end) == v and e.label == s:
+                        row[n + i] += 1
+                rows.append(row)
+    return rows
+
+
+def balance_violations(mg):
+    """Every failed balance equation of a measured graph, by scanning all
+    edges for each equation: (kind, vertex label or edge id, letter, lhs,
+    rhs), bar checks first in edge order, then per vertex and letter the
+    out-sum and the in-sum."""
+    g = mg.graph
+    out = [("bar", i, None, mg.m[i], mg.m[e.bar])
+           for i, e in enumerate(g.edges) if mg.m[i] != mg.m[e.bar]]
+    for v in range(len(g.vertices)):
+        for s in g.group.letters:
+            for kind, end in (("out", "source"), ("in", "target")):
+                total = sum(mg.m[i] for i, e in enumerate(g.edges)
+                            if getattr(e, end) == v and e.label == s)
+                if total != mg.mu[v]:
+                    out.append((kind, g.vertices[v], s, total, mg.mu[v]))
+    return out
+
+
+def lp_feasible(g):
+    """Float LP oracle (HiGHS): whether the balance system has a solution
+    with every weight >= 1."""
+    from scipy.optimize import linprog
+
+    rows = np.array(balance_matrix(g), dtype=float)
+    res = linprog(np.zeros(rows.shape[1]), A_eq=rows,
+                  b_eq=np.zeros(len(rows)), bounds=(1, None), method="highs")
+    assert res.status in (0, 2), res.message
+    return res.status == 0

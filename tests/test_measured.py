@@ -1,19 +1,19 @@
 import random
 from fractions import Fraction
+from hashlib import sha256
 
 import pytest
 import sympy
 
+from oracles import balance_matrix, balance_violations, lp_feasible
 from rauzy import graphs
 from rauzy.generate import random_valid_graph
 from rauzy.measured import (
     Infeasible,
     MeasuredRauzyGraph,
     integer_solution,
-    rational_kernel,
     solve_at_least_one,
     validate_balance,
-    _balance_system,
 )
 from rauzy.words import FreeGroup
 
@@ -63,15 +63,14 @@ def test_integer_solution_cyc2_is_all_ones(cyc2):
 def test_integer_solution_cyc2_kernel_oracle(cyc2):
     # independent check with sympy: the balance system has a 1-dimensional
     # kernel containing the solver's vector
-    rows, n_cols = _balance_system(cyc2)
-    M = sympy.Matrix([[sympy.Rational(x) for x in row] for row in rows])
+    M = sympy.Matrix(balance_matrix(cyc2))
     kernel = M.nullspace()
     assert len(kernel) == 1
     sol = integer_solution(cyc2)
     vec = sympy.Matrix(list(sol.mu) + list(sol.m))
     assert M * vec == sympy.zeros(M.rows, 1)
     ratios = {sympy.nsimplify(vec[i] / kernel[0][i])
-              for i in range(n_cols) if kernel[0][i] != 0}
+              for i in range(M.cols) if kernel[0][i] != 0}
     assert len(ratios) == 1
 
 
@@ -110,6 +109,7 @@ def test_no_full_support_verdict(group2):
         group2, 2, [{(0, 0), (0, 1), (1, 1)}, {(0, 0), (1, 1)}])
     assert graphs.validate(g) == []
     assert integer_solution(g) is None
+    assert integer_solution(graphs.RauzyGraph(group2, [], [])) is None
 
 
 def test_scaling_invariance(cyc2):
@@ -168,25 +168,81 @@ def test_random_solutions_against_sympy_kernel():
         sol = integer_solution(g)
         if sol is None:
             continue
-        rows, _ = _balance_system(g)
-        M = sympy.Matrix([[sympy.Rational(x) for x in row] for row in rows])
+        M = sympy.Matrix(balance_matrix(g))
         vec = sympy.Matrix(list(sol.mu) + list(sol.m))
         assert M * vec == sympy.zeros(M.rows, 1)
         checked += 1
 
 
-def test_rational_kernel_simple():
-    rows = [[Fraction(1), Fraction(-1)]]
-    basis = rational_kernel(rows, 2)
-    assert len(basis) == 1
-    x, y = basis[0]
-    assert x == y != 0
-
-
 def test_simplex_feasibility_basics():
-    one = Fraction(1)
-    assert solve_at_least_one([[one]]) == [one]
-    got = solve_at_least_one([[one, one], [one, -one]])
-    assert got[0] + got[1] >= 1 and got[0] - got[1] >= 1
+    assert solve_at_least_one([], 2) == [1, 1]
+    x = solve_at_least_one([[1, -1, 0], [0, 1, -1]], 3)
+    assert x[0] == x[1] == x[2] >= 1
+    x = solve_at_least_one([[2, -1, -1]], 3)
+    assert 2 * x[0] == x[1] + x[2] and min(x) >= 1
+    assert all(isinstance(a, Fraction) for a in x)
     with pytest.raises(Infeasible):
-        solve_at_least_one([[one], [-one]])
+        solve_at_least_one([[1, 1]], 2)
+    with pytest.raises(Infeasible):  # forces x[2] = 0
+        solve_at_least_one([[1, -1, -1], [1, -1, 0]], 3)
+
+
+def test_validate_balance_matches_brute_force():
+    rng = random.Random(12)
+    cases = 0
+    for rank in (1, 2, 3):
+        group = FreeGroup(rank)
+        for _ in range(40):
+            g = random_valid_graph(group, rng, 4)
+            k = len(g.edges)
+            sol = integer_solution(g)
+            pair = [rng.randint(1, 3) for _ in range(k)]
+            weightings = [
+                [pair[min(i, e.bar)] for i, e in enumerate(g.edges)],
+                # bar-asymmetric
+                [Fraction(rng.randint(0, 4), rng.randint(1, 2)) for _ in range(k)],
+            ]
+            if sol is not None:
+                tampered = list(sol.m)
+                tampered[rng.randrange(k)] += 1
+                weightings += [list(sol.m), tampered]
+            for m in weightings:
+                mu = [sum(m[i] for i in g.out_edges(v, rng.choice(g.group.letters)))
+                      for v in range(len(g.vertices))]
+                mg = MeasuredRauzyGraph(g, tuple(mu), tuple(m))
+                got = [(x.kind, x.vertex, x.letter, x.lhs, x.rhs)
+                       for x in validate_balance(mg)]
+                assert got == balance_violations(mg)
+                cases += bool(got)
+    assert cases > 100
+
+
+# verdicts of integer_solution on every rank-2 class on 1..3 vertices, in
+# all_valid_graphs order; recorded with the kernel-basis solver
+VERDICT_DIGEST = "2da672ff6192c284"
+
+
+def test_verdicts_golden_digest():
+    group = FreeGroup(2)
+    verdicts = [integer_solution(g) is not None
+                for n in range(1, 4) for g in graphs.all_valid_graphs(group, n)]
+    assert (len(verdicts), sum(verdicts)) == (2316, 801)
+    assert sha256(repr(verdicts).encode()).hexdigest()[:16] == VERDICT_DIGEST
+
+
+def test_verdicts_agree_with_highs():
+    rng = random.Random(21)
+    seen = set()
+    for rank, max_vertices, count in ((1, 6, 40), (2, 6, 200), (3, 5, 40)):
+        group = FreeGroup(rank)
+        for _ in range(count):
+            g = random_valid_graph(group, rng, max_vertices)
+            sol = integer_solution(g)
+            assert (sol is not None) == lp_feasible(g)
+            if sol is not None:
+                x = [*sol.mu, *sol.m]
+                assert min(x) >= 1
+                assert all(sum(a * b for a, b in zip(row, x)) == 0
+                           for row in balance_matrix(g))
+            seen.add((rank, sol is not None))
+    assert seen == {(r, v) for r in (1, 2, 3) for v in (True, False)}
