@@ -19,11 +19,10 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Hashable, Sequence
 
-from .graphs import (RauzyGraph, _closure, _UnionFind, is_connected,
-                     require_valid)
+from .graphs import RauzyGraph, _UnionFind, is_connected, require_valid
 from .measured import MeasuredRauzyGraph, validate_balance
 from .patterns import WindowConfig
-from .words import FreeGroup, Letter, _walk_ball
+from .words import FreeGroup, Letter, _closure, _walk_ball
 
 
 class FiniteAction:
@@ -204,6 +203,8 @@ def make_transitive(act: FiniteAction, pi: dict, mg: MeasuredRauzyGraph,
     underlying graph makes the whole action transitive.
     """
     g = mg.graph
+    if not 0 <= generator < act.group.rank:
+        raise ValueError(f"no generator {generator} at rank {act.group.rank}")
     if not is_connected(g):
         raise ValueError("underlying measured graph is not connected; "
                          "a transitive realization does not exist")

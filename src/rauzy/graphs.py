@@ -24,10 +24,14 @@ from .patterns import (
     Pattern,
     Sft,
     WindowLanguage,
+    _neighbor_rules,
+    _patterns_at,
+    _shape,
     compatible,
     translate_pattern,
 )
-from .words import EPSILON, FreeGroup, Letter, Word, concat, inverse_letter
+from .words import (FreeGroup, Letter, Word, _closure, inverse_letter,
+                    mul_letter)
 
 
 @dataclass(frozen=True)
@@ -194,18 +198,6 @@ def edge_reach(g: RauzyGraph) -> list[set]:
     return [_closure((e,), adj) for e in range(len(g.edges))]
 
 
-def _closure(seeds: Iterable, succ) -> set:
-    """Every node reachable from the seeds along succ[node] (seeds included)."""
-    seen = set(seeds)
-    stack = list(seen)
-    while stack:
-        for y in succ[stack.pop()]:
-            if y not in seen:
-                seen.add(y)
-                stack.append(y)
-    return seen
-
-
 class _UnionFind:
     """Disjoint sets over hashable nodes; union(x, y) puts x's class under
     y's root."""
@@ -341,31 +333,20 @@ def xg_sft(g: RauzyGraph) -> Sft:
     from the Cayley graph, cut out by forbidding every two-word pattern
     {eps -> v1, s -> v2} with no edge v1 -s-> v2."""
     require_valid(g)
-    group = g.group
-    alphabet = Alphabet(g.vertices)
-    present = {(e.source, e.target, e.label) for e in g.edges}
-    forbidden = []
-    n = len(g.vertices)
-    for s in group.letters:
-        sw = (s,)
-        for v1 in range(n):
-            for v2 in range(n):
-                if (v1, v2, s) not in present:
-                    forbidden.append(Pattern({
-                        EPSILON: g.vertices[v1], sw: g.vertices[v2]}))
-    window = {EPSILON} | {(s,) for s in group.letters}
-    return Sft(group, alphabet, forbidden, window)
+    targets: dict = {}
+    for e in g.edges:
+        targets.setdefault((g.vertices[e.source], e.label), set()).add(
+            g.vertices[e.target])
+    forbidden = _neighbor_rules(g.group, g.vertices,
+                                lambda a, s: targets[a, s])
+    return Sft(g.group, Alphabet(g.vertices), forbidden, g.group.ball(1))
 
 
 def pattern_graph(group: FreeGroup, alphabet: Alphabet,
                   F: Sequence[Word]) -> RauzyGraph:
     """The Rauzy graph on all F-patterns: p1 -s-> p2 iff p1 and s.p2 are
     compatible."""
-    from .words import word_key
-
-    F = tuple(sorted(set(F), key=word_key))
-    if EPSILON not in F:
-        raise ValueError("F must contain the identity")
+    F = _shape(F)
     pats = [Pattern(zip(F, vals))
             for vals in product(alphabet.symbols, repeat=len(F))]
     triples = []
@@ -388,11 +369,7 @@ def graph_of_window(group: FreeGroup, lang: WindowLanguage,
     Raises ValueError if the window data is too small to give every
     (vertex, letter) an outgoing edge.
     """
-    from .words import inverse, word_key
-
-    F = tuple(sorted(set(F), key=word_key))
-    if EPSILON not in F:
-        raise ValueError("F must contain the identity")
+    F = _shape(F)
     if tuple(lang.support) != F:
         raise ValueError("language support differs from F")
     if not lang.patterns:
@@ -403,20 +380,12 @@ def graph_of_window(group: FreeGroup, lang: WindowLanguage,
 
     triples = set()
     for config in lang.sources:
-        domain = set(config.domain)
-        positions = {concat(w, inverse(f)) for w in config.domain for f in F}
-        for g0 in positions:
-            base = [concat(g0, f) for f in F]
-            if not all(x in domain for x in base):
-                continue
-            p1 = Pattern(zip(F, (config[x] for x in base)))
+        at = _patterns_at(config, F)
+        for g0, p1 in at.items():
             for s in group.letters:
-                gs = concat(g0, (s,))
-                shifted = [concat(gs, f) for f in F]
-                if not all(x in domain for x in shifted):
-                    continue
-                p2 = Pattern(zip(F, (config[x] for x in shifted)))
-                triples.add((p1, s, p2))
+                p2 = at.get(mul_letter(g0, s))
+                if p2 is not None:
+                    triples.add((p1, s, p2))
     graph = RauzyGraph.from_triples(group, vertices, triples)
     for v in range(len(vertices)):
         for s in group.letters:

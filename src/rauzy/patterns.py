@@ -193,27 +193,59 @@ def compatible(p1: Pattern, p2: Pattern) -> bool:
     return True
 
 
-def _placements(domain: Sequence[Word], supports: Iterable[tuple]) -> dict:
-    """All ways to place each support shape inside the domain.
+def _shape(F: Sequence[Word]) -> tuple:
+    """The shape F as a sorted tuple of distinct words containing the
+    identity."""
+    F = tuple(sorted(set(F), key=word_key))
+    if EPSILON not in F:
+        raise ValueError("F must contain the identity")
+    return F
 
-    Returns {support: [(g, placed_words), ...]} with g * support = placed_words.
-    """
-    domain_set = set(domain)
-    out = {}
-    for sup in supports:
-        anchor = sup[0]
-        anchor_inv = inverse(anchor)
-        seen = set()
-        spots = []
-        for w in domain:
-            g = concat(w, anchor_inv)
-            if g in seen:
-                continue
-            seen.add(g)
-            placed = tuple(concat(g, f) for f in sup)
-            if all(x in domain_set for x in placed):
-                spots.append((g, placed))
-        out[sup] = spots
+
+def _placements(domain: Sequence[Word], F: Sequence[Word]) -> list:
+    """Each g with g*F inside the domain, once, as (g, g*F).
+
+    Every such g is w * F[0]^-1 for exactly one w in the domain."""
+    inside = set(domain)
+    anchor_inv = inverse(F[0])
+    out = []
+    for w in domain:
+        g = concat(w, anchor_inv)
+        placed = tuple(concat(g, f) for f in F)
+        if all(x in inside for x in placed):
+            out.append((g, placed))
+    return out
+
+
+def _forbidden_placements(sft: Sft, domain: Sequence[Word]) -> list:
+    """Each placement inside the domain of a forbidden support, with the
+    value tuples forbidden there, as (placed words, values)."""
+    by_support: dict = {}
+    for p in sft.forbidden:
+        by_support.setdefault(p.support, set()).add(
+            tuple(v for _, v in p.items))
+    return [(placed, vals) for sup, vals in by_support.items()
+            for _, placed in _placements(domain, sup)]
+
+
+def _patterns_at(config: WindowConfig, F: Sequence[Word]) -> dict:
+    """{g: the F-pattern f -> config(g*f)} over every placement of F inside
+    the config's domain."""
+    return {g: Pattern(zip(F, (config[x] for x in placed)))
+            for g, placed in _placements(config.domain, F)}
+
+
+def _neighbor_rules(group: FreeGroup, symbols: Sequence, follow) -> list:
+    """The rule "b may follow a along s" as forbidden patterns over the
+    window B_1: every {eps: a, (s,): b} over `symbols` with b outside the
+    set follow(a, s)."""
+    out = []
+    for s in group.letters:
+        sw = (s,)
+        for a in symbols:
+            allowed = follow(a, s)
+            out += [Pattern({EPSILON: a, sw: b})
+                    for b in symbols if b not in allowed]
     return out
 
 
@@ -234,20 +266,12 @@ def enumerate_window(sft: Sft, domain: Iterable[Word],
     pos = {w: i for i, w in enumerate(order)}
     n = len(order)
 
-    by_support: dict = {}
-    for p in sft.forbidden:
-        by_support.setdefault(p.support, []).append(p)
-    spots = _placements(order, by_support.keys())
-
     # checks[k]: list of (index_tuple, forbidden value tuples) completed at k
     checks: list = [[] for _ in range(n)]
     grouped: dict = {}
-    for sup, pats in by_support.items():
-        vals = set(tuple(v for _, v in p.items) for p in pats)
-        for g, placed in spots[sup]:
-            idxs = tuple(pos[w] for w in placed)
-            key = (max(idxs), idxs)
-            grouped.setdefault(key, set()).update(vals)
+    for placed, vals in _forbidden_placements(sft, order):
+        idxs = tuple(pos[w] for w in placed)
+        grouped.setdefault((max(idxs), idxs), set()).update(vals)
     for (last, idxs), vals in sorted(grouped.items(), key=lambda kv: kv[0]):
         checks[last].append((idxs, vals))
 
@@ -280,18 +304,9 @@ def enumerate_window(sft: Sft, domain: Iterable[Word],
 
 def is_locally_admissible(sft: Sft, config: WindowConfig) -> bool:
     """Whether no forbidden translate fits fully colored inside the config."""
-    domain = config.domain
-    domain_set = set(domain)
-    by_support: dict = {}
-    for p in sft.forbidden:
-        by_support.setdefault(p.support, []).append(p)
-    spots = _placements(domain, by_support.keys())
-    for sup, pats in by_support.items():
-        vals = set(tuple(v for _, v in p.items) for p in pats)
-        for g, placed in spots[sup]:
-            if tuple(config[w] for w in placed) in vals:
-                return False
-    return True
+    spots = _forbidden_placements(sft, config.domain)
+    return not any(tuple(config[w] for w in placed) in vals
+                   for placed, vals in spots)
 
 
 def iota(group: FreeGroup, F: Sequence[Word], config: WindowConfig) -> WindowConfig:
@@ -302,9 +317,7 @@ def iota(group: FreeGroup, F: Sequence[Word], config: WindowConfig) -> WindowCon
     holds exactly for admissible configs of the pattern graph's SFT; a
     conflict raises ValueError.
     """
-    F = sorted(set(F), key=word_key)
-    if EPSILON not in F:
-        raise ValueError("F must contain the identity")
+    F = _shape(F)
     if not group.is_connected([inverse(f) for f in F]):
         raise ValueError("F^-1 must be connected in the Cayley graph")
     values: dict = {}
@@ -329,9 +342,7 @@ def window_j(group: FreeGroup, F: Sequence[Word], config: WindowConfig,
     Inverse of `iota` where both are defined.  Raises ValueError naming the
     missing words if the config does not cover domain * F.
     """
-    F = sorted(set(F), key=word_key)
-    if EPSILON not in F:
-        raise ValueError("F must contain the identity")
+    F = _shape(F)
     if not group.is_connected([inverse(f) for f in F]):
         raise ValueError("F^-1 must be connected in the Cayley graph")
     domain = sorted(set(domain), key=word_key)
@@ -351,10 +362,6 @@ def tag_symbol(tag: str, symbol) -> str:
     return f"{tag}:{symbol}"
 
 
-def _retag(pattern: Pattern, tag: str) -> Pattern:
-    return Pattern({w: tag_symbol(tag, v) for w, v in pattern.items})
-
-
 def disjoint_union(x: Sft, y: Sft) -> Sft:
     """The SFT of the disjoint union of two subshifts over tagged alphabets.
 
@@ -367,24 +374,16 @@ def disjoint_union(x: Sft, y: Sft) -> Sft:
     group = x.group
     left = [tag_symbol("L", a) for a in x.alphabet]
     right = [tag_symbol("R", b) for b in y.alphabet]
-    alphabet = Alphabet(left + right)
-    forbidden = set()
-    for p in x.forbidden:
-        forbidden.add(_retag(p, "L"))
-    for p in y.forbidden:
-        forbidden.add(_retag(p, "R"))
-    for s in group.letters:
-        sw = (s,)
-        for a in left:
-            for b in right:
-                forbidden.add(Pattern({EPSILON: a, sw: b}))
-                forbidden.add(Pattern({EPSILON: b, sw: a}))
-    window = x.window | y.window | {(s,) for s in group.letters} | {EPSILON}
-    return Sft(group, alphabet, forbidden, window)
+    same_tag = dict.fromkeys(left, set(left)) | dict.fromkeys(right, set(right))
+    forbidden = [Pattern({w: tag_symbol(tag, v) for w, v in p.items})
+                 for tag, z in (("L", x), ("R", y)) for p in z.forbidden]
+    forbidden += _neighbor_rules(group, left + right, lambda a, s: same_tag[a])
+    window = x.window | y.window | set(group.ball(1))
+    return Sft(group, Alphabet(left + right), forbidden, window)
 
 
-def restrict_language(configs: Iterable[WindowConfig], F: Sequence[Word],
-                      group: FreeGroup | None = None) -> WindowLanguage:
+def restrict_language(configs: Iterable[WindowConfig],
+                      F: Sequence[Word]) -> WindowLanguage:
     """All F-patterns occurring in the configs at any admissible position.
 
     A position is any g with g*F inside the config's domain; the recorded
@@ -394,15 +393,5 @@ def restrict_language(configs: Iterable[WindowConfig], F: Sequence[Word],
     configs = tuple(configs)
     patterns = set()
     for config in configs:
-        domain = set(config.domain)
-        anchor_inv = inverse(F[0])
-        seen = set()
-        for w in config.domain:
-            g = concat(w, anchor_inv)
-            if g in seen:
-                continue
-            seen.add(g)
-            placed = [concat(g, f) for f in F]
-            if all(x in domain for x in placed):
-                patterns.add(Pattern(zip(F, (config[x] for x in placed))))
+        patterns.update(_patterns_at(config, F).values())
     return WindowLanguage(F, patterns, configs)

@@ -19,15 +19,15 @@ from typing import Sequence
 
 from .graphs import (
     RauzyGraph,
-    _closure,
     _UnionFind,
     _shortest_path,
     edge_transitions,
     is_minimal,
     require_valid,
 )
-from .patterns import Alphabet, Pattern, Sft, WindowConfig
-from .words import EPSILON, Letter, Word, _walk_ball, concat, inverse_letter
+from .patterns import Alphabet, Pattern, Sft, WindowConfig, _neighbor_rules
+from .words import (EPSILON, Letter, Word, _closure, _walk_ball, concat,
+                    inverse_letter)
 
 
 @dataclass(frozen=True)
@@ -184,44 +184,36 @@ def sofic_witness(sel: EdgeSelector) -> SoficWitness:
     g = sel.graph
     group = g.group
     reach = reachable_range(sel)
-    symbols = [STAR] + [edge_symbol(i) for i in range(len(g.edges))]
-    alphabet = Alphabet(symbols)
+    alphabet = Alphabet([STAR] + [edge_symbol(i) for i in range(len(g.edges))])
     phi = {STAR: g.vertices[sel.v0]}
     for i, e in enumerate(g.edges):
         phi[edge_symbol(i)] = g.vertices[e.target]
 
-    forbidden = set()
-    for i in range(len(g.edges)):
-        if i not in reach:
-            forbidden.add(Pattern({EPSILON: edge_symbol(i)}))
-    reach_sorted = sorted(reach)
-    for s in group.letters:
-        sw = (s,)
-        # star at the center forces T0(s) at s
-        forbidden.add(Pattern({EPSILON: STAR, sw: STAR}))
-        for f in reach_sorted:
-            if f != sel.t0[s]:
-                forbidden.add(Pattern({EPSILON: STAR, sw: edge_symbol(f)}))
-        for e in reach_sorted:
-            le = g.edges[e].label
-            ce = edge_symbol(e)
-            if s != inverse_letter(le):
-                # non-cancelling direction: follows T1, star excluded
-                forbidden.add(Pattern({EPSILON: ce, sw: STAR}))
-                for f in reach_sorted:
-                    if f != sel.t1[e][s]:
-                        forbidden.add(
-                            Pattern({EPSILON: ce, sw: edge_symbol(f)}))
-            else:
-                # cancelling direction: star, or an edge mapping back to e
-                # under T1 whose label does not cancel with le
-                for f in reach_sorted:
-                    lf = g.edges[f].label
-                    if sel.t1[f][le] != e or lf == inverse_letter(le):
-                        forbidden.add(
-                            Pattern({EPSILON: ce, sw: edge_symbol(f)}))
-    window = {EPSILON} | {(s,) for s in group.letters}
-    sft = Sft(group, alphabet, forbidden, window)
+    # enters[e, x]: the star and every range edge f with T1(f, x) = e, x not
+    # cancelling label(f); these may sit in the cancelling direction of an
+    # edge e labelled x
+    range_symbols = {edge_symbol(e): e for e in sorted(reach)}
+    enters: dict = {}
+    for f in range_symbols.values():
+        lf = g.edges[f].label
+        for x in group.letters:
+            if x != inverse_letter(lf):
+                enters.setdefault((sel.t1[f][x], x), {STAR}).add(
+                    edge_symbol(f))
+
+    def follow(a, s):
+        if a == STAR:
+            return {edge_symbol(sel.t0[s])}
+        e = range_symbols[a]
+        le = g.edges[e].label
+        if s != inverse_letter(le):
+            return {edge_symbol(sel.t1[e][s])}
+        return enters.get((e, le), {STAR})
+
+    forbidden = [Pattern({EPSILON: edge_symbol(i)})
+                 for i in range(len(g.edges)) if i not in reach]
+    forbidden += _neighbor_rules(group, [STAR, *range_symbols], follow)
+    sft = Sft(group, alphabet, forbidden, group.ball(1))
     return SoficWitness(sft, phi, sel, reach)
 
 

@@ -32,9 +32,14 @@ def _need(doc: dict, key: str, where: str):
     return doc[key]
 
 
+def _is_int(x) -> bool:
+    """Whether x is a JSON integer (true and false are not)."""
+    return type(x) is int
+
+
 def _group(doc: dict, where: str) -> FreeGroup:
     rank = _need(doc, "rank", where)
-    if not isinstance(rank, int) or rank < 1:
+    if not _is_int(rank) or rank < 1:
         raise DocumentError(f"{where}.rank: must be a positive integer")
     return FreeGroup(rank)
 
@@ -49,7 +54,7 @@ def _parse_word(group: FreeGroup, s: Any, where: str):
 
 
 def _parse_fraction(s: Any, where: str) -> Fraction:
-    if isinstance(s, int):
+    if _is_int(s):
         return Fraction(s)
     if not isinstance(s, str):
         raise DocumentError(f"{where}: rationals must be 'p/q' strings")
@@ -125,7 +130,7 @@ def graph_from_doc(doc: dict) -> RauzyGraph | MeasuredRauzyGraph:
             letter = group.parse_letter(lab)
         except ValueError as exc:
             raise DocumentError(f"{where}.label: {exc}") from None
-        if not isinstance(bar, int) or not 0 <= bar < len(edges_doc):
+        if not _is_int(bar) or not 0 <= bar < len(edges_doc):
             raise DocumentError(f"{where}.bar: must index an edge")
         edges.append(Edge(vid[src], vid[rng], letter, bar))
     try:
@@ -183,7 +188,7 @@ def selector_from_doc(doc: dict) -> tuple[EdgeSelector, tuple | None]:
         raise DocumentError("selector.t1: must list one row per edge")
 
     def edge_ref(x, where):
-        if not isinstance(x, int) or not 0 <= x < len(graph.edges):
+        if not _is_int(x) or not 0 <= x < len(graph.edges):
             raise DocumentError(f"{where}: must index an edge")
         return x
 
@@ -210,7 +215,7 @@ def selector_from_doc(doc: dict) -> tuple[EdgeSelector, tuple | None]:
     if "cycle" in doc:
         cyc = doc["cycle"]
         if (not isinstance(cyc, list)
-                or not all(isinstance(e, int) and 0 <= e < len(graph.edges)
+                or not all(_is_int(e) and 0 <= e < len(graph.edges)
                            for e in cyc)):
             raise DocumentError("selector.cycle: must list edge indices")
         cycle = tuple(cyc)
@@ -253,7 +258,7 @@ def action_from_doc(doc: dict) -> FiniteAction:
             raise DocumentError(f"action.perms.{c}: missing")
         w = perms_doc[c]
         if (not isinstance(w, list) or len(w) != len(points)
-                or not all(isinstance(x, int) and 0 <= x < len(points)
+                or not all(_is_int(x) and 0 <= x < len(points)
                            for x in w)):
             raise DocumentError(
                 f"action.perms.{c}: must be a permutation as an index list")

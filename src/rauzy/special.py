@@ -12,9 +12,8 @@ Also here: finite return sets of a window configuration into a pattern.
 
 from __future__ import annotations
 
-from .patterns import Alphabet, Pattern, Sft, WindowConfig
+from .patterns import Alphabet, Pattern, Sft, WindowConfig, _neighbor_rules
 from .words import (
-    EPSILON,
     FreeGroup,
     Letter,
     concat,
@@ -64,31 +63,20 @@ def special_symbol_sft(group: FreeGroup, s0: Letter) -> tuple[Sft, dict]:
         raise ValueError("the special symbol construction needs rank >= 2")
     if letter_sign(s0) != 1:
         raise ValueError("the subgroup generator must be a positive letter")
-    letters = list(group.letters)
-    symbols = [MARK] + [group.format_letter(s) for s in letters]
-    alphabet = Alphabet(symbols)
+    letter_of = {group.format_letter(c): c for c in group.letters}
+    symbols = [MARK, *letter_of]
     axis = {s0, inverse_letter(s0)}
-    forbidden = set()
-    for t in letters:
-        tw = (t,)
-        want = MARK if t in axis else group.format_letter(t)
-        for sym in symbols:
-            if sym != want:
-                forbidden.add(Pattern({EPSILON: MARK, tw: sym}))
-        for c in letters:
-            if t == inverse_letter(c):
-                continue
-            target = group.format_letter(t)
-            for sym in symbols:
-                if sym != target:
-                    forbidden.add(
-                        Pattern({EPSILON: group.format_letter(c), tw: sym}))
-    window = {EPSILON} | {(t,) for t in letters}
-    sft = Sft(group, alphabet, forbidden, window)
-    proj = {MARK: 1}
-    for s in letters:
-        proj[group.format_letter(s)] = 0
-    return sft, proj
+
+    def follow(a, t):
+        if a == MARK and t in axis:
+            return {MARK}
+        if a != MARK and t == inverse_letter(letter_of[a]):
+            return symbols
+        return {group.format_letter(t)}
+
+    forbidden = _neighbor_rules(group, symbols, follow)
+    sft = Sft(group, Alphabet(symbols), forbidden, group.ball(1))
+    return sft, {a: int(a == MARK) for a in symbols}
 
 
 def project_config(config: WindowConfig, proj: dict) -> WindowConfig:

@@ -103,6 +103,18 @@ def _walk_ball(ball: Sequence[Word], root, table) -> dict:
     return state
 
 
+def _closure(seeds: Iterable, succ) -> set:
+    """Every node reachable from the seeds along succ[node] (seeds included)."""
+    seen = set(seeds)
+    stack = list(seen)
+    while stack:
+        for y in succ[stack.pop()]:
+            if y not in seen:
+                seen.add(y)
+                stack.append(y)
+    return seen
+
+
 @dataclass(frozen=True)
 class FreeGroup:
     """Context for a free group of rank d >= 1 with its symmetric letter set.
@@ -148,20 +160,12 @@ class FreeGroup:
     def is_connected(self, words: Iterable[Word]) -> bool:
         """Whether the induced subgraph of the Cayley graph on `words` is
         connected (u, v adjacent iff u^-1 v is a single letter)."""
-        remaining = set(words)
-        if not remaining:
+        words = set(words)
+        if not words:
             raise ValueError("connectivity is undefined for the empty set")
-        seed = min(remaining, key=word_key)
-        stack = [seed]
-        remaining.discard(seed)
-        while stack:
-            w = stack.pop()
-            for x in self.letters:
-                nb = mul_letter(w, x)
-                if nb in remaining:
-                    remaining.discard(nb)
-                    stack.append(nb)
-        return not remaining
+        succ = {w: [u for x in self.letters
+                    if (u := mul_letter(w, x)) in words] for w in words}
+        return len(_closure((next(iter(words)),), succ)) == len(words)
 
     # -- string format: 'a'..'z' for generators, 'A'..'Z' for inverses,
     #    "e" for the empty word.

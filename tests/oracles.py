@@ -8,6 +8,7 @@ from itertools import permutations, product
 import numpy as np
 
 from rauzy import graphs
+from rauzy.words import concat
 
 
 def minimality_oracle(g):
@@ -141,3 +142,16 @@ def lp_feasible(g):
                   b_eq=np.zeros(len(rows)), bounds=(1, None), method="highs")
     assert res.status in (0, 2), res.message
     return res.status == 0
+
+
+def placements_oracle(group, domain, F):
+    """Every g with g*F inside the domain, as (g, g*F), by trying each g in
+    a ball that covers every w*f^-1 with w in the domain and f in F."""
+    domain = set(domain)
+    radius = max(map(len, domain)) + max(map(len, F))
+    out = []
+    for g in group.ball(radius):
+        placed = tuple(concat(g, f) for f in F)
+        if all(x in domain for x in placed):
+            out.append((g, placed))
+    return out

@@ -4,6 +4,7 @@ from fractions import Fraction
 import pytest
 
 from rauzy import graphs, measured, selectors
+from rauzy.actions import FiniteAction
 from rauzy.cli import main
 from rauzy.serialize import (
     action_from_doc,
@@ -18,6 +19,7 @@ from rauzy.serialize import (
     window_from_doc,
     window_to_doc,
 )
+from rauzy.words import FreeGroup
 
 def write(tmp_path, name, doc):
     path = tmp_path / name
@@ -145,8 +147,69 @@ def test_measure_solve_no_solution(tmp_path, capsys, group2):
     assert code == 1 and report["verdict"] == "no full-support solution"
 
 
+@pytest.mark.parametrize("generator", ["2", "-1"])
+def test_finite_action_generator_out_of_range(tmp_path, capsys, cyc2,
+                                              generator):
+    path = write(tmp_path, "meas.json",
+                 measured_to_doc(measured.integer_solution(cyc2)))
+    code, report = run(capsys, "finite-action", path, "--transitive",
+                       "--generator", generator)
+    assert code == 1 and report["verdict"] == "error"
+    assert f"no generator {generator}" in report["witnesses"]["error"]
+
+
+def _key_of_one(container):
+    keys = container if isinstance(container, dict) else range(len(container))
+    return next(k for k in keys if container[k] == 1)
+
+
+def _integer_fields(group2, cyc2, star3):
+    """Per integer field: the command reading it, a document it accepts, and
+    the container in that document holding the field."""
+    rose = graph_to_doc(graphs.rose(FreeGroup(1)))
+    graph = graph_to_doc(star3)
+    bar = graph["edges"][_key_of_one([e["bar"] for e in graph["edges"]])]
+    weights = measured_to_doc(measured.integer_solution(star3))
+    weights["mu"] = {v: int(x) for v, x in weights["mu"].items()}
+    weights["m"] = [int(x) for x in weights["m"]]
+    docs = []
+    for g, v in ((cyc2, "u"), (star3, "w")):
+        cycle = selectors.find_cycle(g, g.vertex_id(v))
+        docs.append(selector_to_doc(selectors.synthesize_recurrent(g, cycle),
+                                    cycle))
+    sel, with_cycle = docs
+    spec = {side: action_to_doc(FiniteAction(group2, ["p", "q"],
+                                             [[1, 0], [0, 1]]))
+            for side in ("left", "right")}
+    spec["f1"] = spec["f2"] = {"p": "*", "q": "*"}
+    certify = ["certify-minimal", "--window", "1", "--depth", "2"]
+    return {
+        "rank": (["measure", "solve"], rose, rose),
+        "bar": (["validate"], graph, bar),
+        "mu": (["finite-action"], weights, weights["mu"]),
+        "m": (["finite-action"], weights, weights["m"]),
+        "t0": (["sofic-witness"], sel, sel["t0"]),
+        "t1": (["sofic-witness"], sel, sel["t1"][2]),
+        "cycle": (certify, with_cycle, with_cycle["cycle"]),
+        "perms": (["fiber-product"], spec, spec["left"]["perms"]["a"]),
+    }
+
+
+@pytest.mark.parametrize("field", ["rank", "bar", "mu", "m", "t0", "t1",
+                                   "cycle", "perms"])
+def test_booleans_are_not_integers(tmp_path, capsys, group2, cyc2, star3,
+                                   field):
+    argv, doc, container = _integer_fields(group2, cyc2, star3)[field]
+    key = field if field in ("rank", "bar") else _key_of_one(container)
+    assert container[key] == 1
+    code, _ = run(capsys, *argv, write(tmp_path, "int.json", doc))
+    assert code == 0
+    container[key] = True
+    code, report = run(capsys, *argv, write(tmp_path, "bool.json", doc))
+    assert code == 2 and report["verdict"] == "input error"
+
+
 def test_fiber_product(tmp_path, capsys, group2):
-    from rauzy.actions import FiniteAction
     swap = FiniteAction(group2, ["x0", "x1"], [[1, 0], [0, 1]])
     three = FiniteAction(group2, ["y0", "y1", "y2"], [[1, 2, 0], [0, 1, 2]])
     spec = {
@@ -239,7 +302,6 @@ def test_document_roundtrips(tmp_path, cyc2, star3, group2):
     assert selector_to_doc(sel2, cycle2) == sdoc
     assert sel2 == sel and cycle2 == cycle
     # action
-    from rauzy.actions import FiniteAction
     act = FiniteAction(group2, ["p", "q"], [[1, 0], [0, 1]])
     adoc = action_to_doc(act)
     assert action_to_doc(action_from_doc(adoc)) == adoc

@@ -1,9 +1,12 @@
+import hashlib
 import itertools
 import random
 
 import pytest
+from oracles import placements_oracle
 
-from rauzy import graphs
+from rauzy import graphs, selectors
+from rauzy.generate import random_minimal_graph
 from rauzy.patterns import (
     Alphabet,
     CapExceededError,
@@ -19,7 +22,10 @@ from rauzy.patterns import (
     restrict_language,
     translate_pattern,
     window_j,
+    _placements,
 )
+from rauzy.serialize import sft_to_doc
+from rauzy.special import special_symbol_sft, x0_window
 from rauzy.words import EPSILON, FreeGroup, concat, inverse, reduce_word
 
 
@@ -248,6 +254,26 @@ def test_restrict_language_constant():
     assert len(lang) == 1
 
 
+def test_placements_match_oracle():
+    rng = random.Random(77)
+    for rank in (1, 2, 3):
+        group = FreeGroup(rank)
+        letters = list(group.letters)
+        near, room = group.ball(2), set(group.ball(3))
+        for _ in range(40):
+            domain = {rng.choice(near)}
+            for _ in range(rng.randrange(30)):
+                w = concat(rng.choice(sorted(domain)), (rng.choice(letters),))
+                if w in room:
+                    domain.add(w)
+            domain = list(domain)
+            rng.shuffle(domain)
+            F = rng.sample(near, rng.randint(1, 4))
+            got = _placements(domain, F)
+            assert len({g for g, _ in got}) == len(got)
+            assert sorted(got) == sorted(placements_oracle(group, domain, F))
+
+
 def test_local_admissibility_matches_enumeration(group2, cyc2):
     sft = graphs.xg_sft(cyc2)
     ball = group2.ball(1)
@@ -262,3 +288,90 @@ def test_sft_window_invariants(group2):
         Sft(group2, Alphabet([0]), [], [(0,)])   # window without identity
     with pytest.raises(ValueError):
         Sft(group2, Alphabet([0]), [Pattern({(0,): 0})], [EPSILON])
+
+
+# SHA-256 of _nearest_neighbour_records(): the SFT documents of the four
+# nearest-neighbour constructors, the languages and graphs read off windows,
+# and admissibility verdicts on perturbed configs.  Recorded before the
+# constructors shared one rule builder and one placement routine; it must
+# not move.
+NN_DIGEST = (
+    "04e2b2b7a98af3ab8b8549b6b82f29a9ba71d74429cc583091cb2e8075de3fb1")
+
+
+def _nearest_neighbour_records():
+    group2, group3 = FreeGroup(2), FreeGroup(3)
+    rng = random.Random(515)
+    minimal = [graphs.rose(group2), graphs.two_cycle(group2),
+               graphs.three_star(group2), graphs.letter_flow_graph(group2),
+               graphs.two_cycle(group3)]
+    minimal += [random_minimal_graph(group2, rng, 4) for _ in range(5)]
+    minimal += [random_minimal_graph(group3, rng, 2) for _ in range(2)]
+    valid = minimal + [graphs.letter_flow_graph(group2, True)]
+    records = []
+    checked = []   # (sft, config) pairs for the admissibility verdicts
+
+    for g in valid:
+        records.append(sft_to_doc(graphs.xg_sft(g)))
+    for g in minimal:
+        for v in range(len(g.vertices)):
+            cycle = selectors.find_cycle(g, v)
+            for sel in (selectors.least_selector(g, v),
+                        selectors.synthesize_recurrent(g, cycle)):
+                wit = selectors.sofic_witness(sel)
+                records.append((sft_to_doc(wit.sft), sorted(wit.phi.items()),
+                                sorted(wit.range_edges)))
+                checked.append((wit.sft, selectors.z0_window(sel, 2)))
+    for group in (group2, group3):
+        for s0 in range(0, 2 * group.rank, 2):
+            sft, proj = special_symbol_sft(group, s0)
+            records.append((sft_to_doc(sft), sorted(proj.items())))
+            checked.append((sft, x0_window(group, s0, 2)))
+
+    x, y = graphs.xg_sft(minimal[1]), graphs.xg_sft(minimal[2])
+    dead = Sft(group2, Alphabet(["d"]), [Pattern({EPSILON: "d"})], [EPSILON])
+    marker, _ = special_symbol_sft(group2, 0)
+    for left, right in ((x, y), (y, x), (x, dead),
+                        (full_shift(group2, Alphabet(["z"])), x), (marker, x)):
+        u = disjoint_union(left, right)
+        records.append(sft_to_doc(u))
+        checked += [(u, c) for c in enumerate_window(u, group2.ball(1))[:6]]
+
+    shapes = [[EPSILON], [EPSILON, (0,)], [EPSILON, (2,), (2, 0)],
+              list(group2.ball(1)), [(0,), (2,)], [(1,), (1, 2), (1, 2, 2)]]
+    for g in minimal[:7]:
+        sft = graphs.xg_sft(g)
+        configs = enumerate_window(sft, group2.ball(2))
+        sel = selectors.least_selector(g, 0)
+        sources = [configs, [selectors.x_t_window(sel, 4)]]
+        checked += [(sft, c) for c in configs[:8]] + [(sft, sources[1][0])]
+        for F in shapes:
+            for src in sources:
+                lang = restrict_language(src, F)
+                records.append((lang.support,
+                                [p.items for p in lang.sorted_patterns()]))
+                if EPSILON not in F:
+                    continue
+                try:
+                    h = graphs.graph_of_window(group2, lang, F)
+                    records.append((repr(h.vertices), h.edges))
+                except ValueError as exc:
+                    records.append(str(exc))
+
+    for sft, config in checked:
+        words = list(config.domain)
+        symbols = list(sft.alphabet)
+        verdicts = [is_locally_admissible(sft, config)]
+        for _ in range(4):
+            values = dict(config.items)
+            for w in rng.sample(words, rng.randint(1, 2)):
+                values[w] = rng.choice(symbols)
+            verdicts.append(is_locally_admissible(sft, WindowConfig(values)))
+        records.append(verdicts)
+    return records
+
+
+def test_nearest_neighbour_golden_digest():
+    records = _nearest_neighbour_records()
+    digest = hashlib.sha256(repr(records).encode()).hexdigest()
+    assert digest == NN_DIGEST
