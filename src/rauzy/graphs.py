@@ -8,7 +8,9 @@ Schreier graph: one outgoing edge per (vertex, letter).
 Minimality (every ordered edge pair is joined by a reduced path, up to
 reversing the final edge) is decided by reachability in the edge-transition
 automaton: states are edges, and e -> e' is allowed iff range(e) = source(e')
-and label(e') is not the inverse of label(e).
+and label(e') is not the inverse of label(e).  One closure sweep serves both
+`is_minimal` and `check_conditions`; a graph that is not minimal is witnessed
+by the least edge e, then the least f, that no reduced path joins.
 """
 
 from __future__ import annotations
@@ -94,10 +96,8 @@ class RauzyGraph:
         generator i from v to w (and its reverse)."""
         if len(relations) != group.rank:
             raise ValueError("need one relation per positive generator")
-        triples = []
-        for i, rel in enumerate(relations):
-            for (v, w) in rel:
-                triples.append((v, 2 * i, w))
+        triples = [(v, 2 * i, w)
+                   for i, rel in enumerate(relations) for (v, w) in rel]
         return cls.from_triples(group, range(n_vertices), triples)
 
     # -- indexes
@@ -172,30 +172,16 @@ def require_valid(g: RauzyGraph) -> None:
 
 def is_deterministic(g: RauzyGraph) -> bool:
     """Whether (source, label) is injective on edges."""
-    seen = set()
-    for e in g.edges:
-        key = (e.source, e.label)
-        if key in seen:
-            return False
-        seen.add(key)
-    return True
+    keys = [(e.source, e.label) for e in g.edges]
+    return len(set(keys)) == len(keys)
 
 
 def edge_transitions(g: RauzyGraph) -> list[list[int]]:
     """Adjacency of the edge automaton: e -> e' iff the two-edge path (e, e')
     is reduced."""
-    adj = []
-    for e in g.edges:
-        bad = inverse_letter(e.label)
-        adj.append([i for i in g.out_edges(e.target) if g.edges[i].label != bad])
-    return adj
-
-
-def edge_reach(g: RauzyGraph) -> list[set]:
-    """reach[e] = edges reachable from e in the edge automaton, e included
-    (an f in reach[e] means some reduced path starts with e and ends with f)."""
-    adj = edge_transitions(g)
-    return [_closure((e,), adj) for e in range(len(g.edges))]
+    return [[i for i in g.out_edges(e.target)
+             if g.edges[i].label != e.label ^ 1]
+            for e in g.edges]
 
 
 class _UnionFind:
@@ -250,16 +236,28 @@ def is_connected(g: RauzyGraph) -> bool:
     return bool(succ) and len(_closure((0,), succ)) == len(succ)
 
 
+def _edge_lists(g: RauzyGraph) -> tuple[list, list, list, list]:
+    """Sources, targets, labels and bars of g's edges."""
+    return ([e.source for e in g.edges], [e.target for e in g.edges],
+            [e.label for e in g.edges], [e.bar for e in g.edges])
+
+
 def is_minimal(g: RauzyGraph) -> tuple[bool, tuple[int, int] | None]:
     """Whether every ordered edge pair (e, f) is joined by a reduced path
-    from e to f or to bar(f).  On failure returns the first unreachable pair."""
-    reach = edge_reach(g)
-    for e in range(len(g.edges)):
-        r = reach[e]
-        for f in range(len(g.edges)):
-            if f not in r and g.edges[f].bar not in r:
-                return False, (e, f)
-    return True, None
+    from e to f or to bar(f).  On failure returns the first unreachable
+    pair: the least e, then the least f, with e outside col[f] | col[bar f]
+    of the same closure sweep that check_conditions reads."""
+    src, tgt, lab, bar = _edge_lists(g)
+    col = _edge_closure(len(g.vertices), src, tgt, lab)
+    m = len(col)
+    # per f, the least edge outside col[f] | col[bar f] (m if none): the
+    # least f missing the least e is the first f whose gap is e
+    gaps = [(~c & c + 1).bit_length() - 1
+            for c in (col[f] | col[bar[f]] for f in range(m))]
+    e = min(gaps, default=m)
+    if e == m:
+        return True, None
+    return False, (e, gaps.index(e))
 
 
 def check_conditions(g: RauzyGraph) -> tuple[bool, bool, bool]:
@@ -271,52 +269,62 @@ def check_conditions(g: RauzyGraph) -> tuple[bool, bool, bool]:
 
     (3) implies (2) implies (1) for rank >= 2.
     """
-    return _conditions(len(g.vertices), [e.source for e in g.edges],
-                       [e.target for e in g.edges],
-                       [e.label for e in g.edges], [e.bar for e in g.edges])
+    return _conditions(len(g.vertices), *_edge_lists(g))
 
 
 def _conditions(n: int, src: list, tgt: list, lab: list,
                 bar: list) -> tuple[bool, bool, bool]:
-    """check_conditions on plain edge lists, over bitsets of edges:
-    col[f] holds every edge e from which a reduced path reaches f (f
-    included), the column of f in the edge automaton's closure."""
+    """check_conditions on plain edge lists, read off the columns of the
+    one closure sweep that also serves is_minimal, whose witness is the
+    least e, then the least f, with e outside col[f] | col[bar f]."""
     m = len(src)
-    letters = max(lab, default=0) // 2 * 2 + 2
-    into, out = [0] * n, [0] * n
-    into_label, out_label = [0] * (n * letters), [0] * (n * letters)
-    for e in range(m):
-        bit = 1 << e
-        into[tgt[e]] |= bit
-        out[src[e]] |= bit
-        into_label[tgt[e] * letters + lab[e]] |= bit
-        out_label[src[e] * letters + lab[e]] |= bit
-    # e -> f is allowed iff range(e) = source(f) and label(e) != label(f)^-1
-    col = [into[src[f]] & ~into_label[src[f] * letters + (lab[f] ^ 1)]
-           | 1 << f for f in range(m)]
-    succ = [out[tgt[e]] & ~out_label[tgt[e] * letters + (lab[e] ^ 1)]
-            for e in range(m)]
+    col = _edge_closure(n, src, tgt, lab)
     full = (1 << m) - 1
-    if m and _from_first(succ) == full == _from_first(col):
-        col = [full] * m   # strongly connected: every column is full
-    else:
-        for k in range(m):   # Warshall
-            ck, bit = col[k], 1 << k
-            for i in range(m):
-                if col[i] & bit:
-                    col[i] |= ck
     c3 = all(c == full for c in col)
     c2 = c3 or all(col[f] | col[bar[f]] == full for f in range(m))
+    out = [0] * n        # edges leaving v
     reaching = [0] * n   # edges from which a reduced path ends at w
     for f in range(m):
+        out[src[f]] |= 1 << f
         reaching[tgt[f]] |= col[f]
     c1 = all(out[v] & r for r in reaching for v in range(n))
     return c1, c2, c3
 
 
-def _from_first(adj: list) -> int:
-    """Bitset of the nodes reachable from node 0 along adj (bitsets)."""
-    seen = frontier = 1
+def _edge_closure(n: int, src: list, tgt: list, lab: list) -> list[int]:
+    """col[f]: the bitset of the edges from which a reduced path reaches f,
+    f included.  One forward-backward sweep (Fleischer, Hendrickson and
+    Pinar, 2000): take the least unplaced edge v; its strongly connected
+    component is reach(pred, v) & reach(succ, v), and every member gets
+    reach(pred, v) as its column; repeat until every edge is placed."""
+    m = len(src)
+    into, out = [0] * n, [0] * n
+    labelled = [0] * (max(lab, default=0) + 2)   # edges by label
+    for e in range(m):
+        into[tgt[e]] |= 1 << e
+        out[src[e]] |= 1 << e
+        labelled[lab[e]] |= 1 << e
+    # e -> f is allowed iff range(e) = source(f) and label(e) != label(f)^-1
+    pred = [into[src[f]] & ~labelled[lab[f] ^ 1] for f in range(m)]
+    succ = [out[tgt[e]] & ~labelled[lab[e] ^ 1] for e in range(m)]
+    col = [0] * m
+    unplaced = (1 << m) - 1
+    while unplaced:
+        v = (unplaced & -unplaced).bit_length() - 1
+        back = _reach(pred, v)
+        component = back & _reach(succ, v)
+        unplaced &= ~component
+        while component:
+            low = component & -component
+            col[low.bit_length() - 1] = back
+            component ^= low
+    return col
+
+
+def _reach(adj: list, start: int) -> int:
+    """Bitset of the nodes reachable from start along adj (bitsets), start
+    included."""
+    seen = frontier = 1 << start
     while frontier:
         step = 0
         while frontier:
@@ -432,12 +440,8 @@ def canonical_form(g: RauzyGraph) -> tuple:
     if n > 8:
         raise ValueError("canonical form only supported for <= 8 vertices")
     triples = [(e.source, e.target, e.label) for e in g.edges]
-    best = None
-    for perm in permutations(range(n)):
-        enc = tuple(sorted((perm[a], perm[b], s) for (a, b, s) in triples))
-        if best is None or enc < best:
-            best = enc
-    return (n, best)
+    return (n, min(tuple(sorted((p[a], p[b], s) for (a, b, s) in triples))
+                   for p in permutations(range(n))))
 
 
 def isomorphic(g1: RauzyGraph, g2: RauzyGraph) -> bool:

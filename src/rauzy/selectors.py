@@ -431,10 +431,13 @@ def validate_recurrent(sel: EdgeSelector, cycle: Sequence[int]) -> list[str]:
                 out.append(
                     f"(iv) t1[{e}] and t1[{g.edges[enext].bar}] disagree at "
                     f"{g.group.format_letter(s)}")
-    core = set(cyc) | set(cb)
-    moves = _moves(sel)
+    back = [[] for _ in g.edges]   # the T1 steps reversed
+    for e, row in enumerate(_moves(sel)):
+        for f in row:
+            back[f].append(e)
+    reaching = _closure(cyc + cb, back)
     for e in range(len(g.edges)):
-        if not _closure((e,), moves) & core:
+        if e not in reaching:
             out.append(f"(v) edge {e} cannot reach the cycle or its reverse")
     return out
 
@@ -497,10 +500,6 @@ def _return_words(sel: EdgeSelector, cycle: Sequence[int]) -> dict:
             if track[pos] != sel.t1[cur][g.edges[nxt].label]:
                 raise ValueError("selector does not follow its cycle")
             cur = nxt
-            if pos == 0:
-                break
-        if pos != 0:
-            raise ValueError("cycle prolongation failed to close")
         out[e] = (tuple(w), which)
     return out
 

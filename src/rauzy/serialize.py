@@ -59,10 +59,9 @@ def _parse_fraction(s: Any, where: str) -> Fraction:
     if not isinstance(s, str):
         raise DocumentError(f"{where}: rationals must be 'p/q' strings")
     try:
-        value = Fraction(s)
+        return Fraction(s)
     except (ValueError, ZeroDivisionError) as exc:
         raise DocumentError(f"{where}: {exc}") from None
-    return value
 
 
 def format_fraction(x) -> str:
@@ -187,28 +186,24 @@ def selector_from_doc(doc: dict) -> tuple[EdgeSelector, tuple | None]:
     if not isinstance(t1_doc, list) or len(t1_doc) != len(graph.edges):
         raise DocumentError("selector.t1: must list one row per edge")
 
-    def edge_ref(x, where):
-        if not _is_int(x) or not 0 <= x < len(graph.edges):
-            raise DocumentError(f"{where}: must index an edge")
-        return x
-
-    t0 = []
-    for s in group.letters:
-        c = group.format_letter(s)
-        if not isinstance(t0_doc, dict) or c not in t0_doc:
-            raise DocumentError(f"selector.t0.{c}: missing")
-        t0.append(edge_ref(t0_doc[c], f"selector.t0.{c}"))
-    t1 = []
-    for i, row in enumerate(t1_doc):
+    def edge_row(row, where):
+        """One edge index per letter, as t0 and every t1 row hold them."""
         out = []
         for s in group.letters:
             c = group.format_letter(s)
             if not isinstance(row, dict) or c not in row:
-                raise DocumentError(f"selector.t1[{i}].{c}: missing")
-            out.append(edge_ref(row[c], f"selector.t1[{i}].{c}"))
-        t1.append(tuple(out))
+                raise DocumentError(f"{where}.{c}: missing")
+            x = row[c]
+            if not _is_int(x) or not 0 <= x < len(graph.edges):
+                raise DocumentError(f"{where}.{c}: must index an edge")
+            out.append(x)
+        return tuple(out)
+
+    t0 = edge_row(t0_doc, "selector.t0")
+    t1 = tuple(edge_row(row, f"selector.t1[{i}]")
+               for i, row in enumerate(t1_doc))
     try:
-        sel = EdgeSelector(graph, v0, tuple(t0), tuple(t1))
+        sel = EdgeSelector(graph, v0, t0, t1)
     except ValueError as exc:
         raise DocumentError(f"selector: {exc}") from None
     cycle = None
@@ -271,62 +266,60 @@ def action_from_doc(doc: dict) -> FiniteAction:
 
 # -- windows, patterns, SFTs
 
-def _symbol_to_json(v, where: str):
-    if isinstance(v, (str, int)):
+def _symbol(v, where: str):
+    """A window, pattern or alphabet symbol, read or written: a string or a
+    JSON integer."""
+    if isinstance(v, str) or _is_int(v):
         return v
-    raise DocumentError(f"{where}: symbol {v!r} is not serializable")
+    raise DocumentError(f"{where}: symbol {v!r} is not a string or an integer")
 
 
 def window_to_doc(group: FreeGroup, config: WindowConfig,
                   alphabet: Alphabet | None = None) -> dict:
     doc = {
         "rank": group.rank,
-        "values": {group.format_word(w): _symbol_to_json(v, "window")
+        "values": {group.format_word(w): _symbol(v, "window")
                    for w, v in config.items},
     }
     if alphabet is not None:
-        doc["alphabet"] = [_symbol_to_json(a, "window.alphabet")
+        doc["alphabet"] = [_symbol(a, "window.alphabet")
                            for a in alphabet]
     return doc
 
 
-def window_from_doc(doc: dict) -> tuple[FreeGroup, WindowConfig]:
-    group = _group(doc, "window")
-    values = _need(doc, "values", "window")
+def _values_from_doc(group: FreeGroup, doc: dict, where: str) -> dict:
+    """The word -> symbol map under a window's or pattern's "values"."""
+    values = _need(doc, "values", where)
     if not isinstance(values, dict):
-        raise DocumentError("window.values: must map words to symbols")
+        raise DocumentError(f"{where}.values: must map words to symbols")
     out = {}
     for k, v in values.items():
-        w = _parse_word(group, k, f"window.values.{k}")
+        w = _parse_word(group, k, f"{where}.values.{k}")
         if w in out:
-            raise DocumentError(f"window.values.{k}: duplicate word")
-        out[w] = v
-    return group, WindowConfig(out)
+            raise DocumentError(f"{where}.values.{k}: duplicate word")
+        out[w] = _symbol(v, f"{where}.values.{k}")
+    return out
+
+
+def window_from_doc(doc: dict) -> tuple[FreeGroup, WindowConfig]:
+    group = _group(doc, "window")
+    return group, WindowConfig(_values_from_doc(group, doc, "window"))
 
 
 def pattern_to_doc(group: FreeGroup, p: Pattern) -> dict:
-    return {"values": {group.format_word(w): _symbol_to_json(v, "pattern")
+    return {"values": {group.format_word(w): _symbol(v, "pattern")
                        for w, v in p.items}}
 
 
 def pattern_from_doc(group: FreeGroup, doc: dict) -> Pattern:
-    values = _need(doc, "values", "pattern")
-    if not isinstance(values, dict):
-        raise DocumentError("pattern.values: must map words to symbols")
-    out = {}
-    for k, v in values.items():
-        w = _parse_word(group, k, f"pattern.values.{k}")
-        if w in out:
-            raise DocumentError(f"pattern.values.{k}: duplicate word")
-        out[w] = v
-    return Pattern(out)
+    return Pattern(_values_from_doc(group, doc, "pattern"))
 
 
 def sft_to_doc(sft: Sft) -> dict:
     group = sft.group
     return {
         "rank": group.rank,
-        "alphabet": [_symbol_to_json(a, "sft.alphabet")
+        "alphabet": [_symbol(a, "sft.alphabet")
                      for a in sft.alphabet],
         "window": [group.format_word(w)
                    for w in sorted(sft.window, key=word_key)],
@@ -343,6 +336,8 @@ def sft_from_doc(doc: dict) -> Sft:
     alphabet_doc = _need(doc, "alphabet", "sft")
     if not isinstance(alphabet_doc, list) or not alphabet_doc:
         raise DocumentError("sft.alphabet: must be a nonempty list")
+    alphabet = [_symbol(a, f"sft.alphabet[{i}]")
+                for i, a in enumerate(alphabet_doc)]
     window_doc = _need(doc, "window", "sft")
     if not isinstance(window_doc, list):
         raise DocumentError("sft.window: must be a list of words")
@@ -354,7 +349,7 @@ def sft_from_doc(doc: dict) -> Sft:
     forbidden = [pattern_from_doc(group, {"values": v})
                  for v in forbidden_doc]
     try:
-        return Sft(group, Alphabet(alphabet_doc), forbidden, window)
+        return Sft(group, Alphabet(alphabet), forbidden, window)
     except ValueError as exc:
         raise DocumentError(f"sft: {exc}") from None
 

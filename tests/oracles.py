@@ -7,54 +7,55 @@ from itertools import permutations, product
 
 import numpy as np
 
-from rauzy import graphs
 from rauzy.words import concat
 
 
-def minimality_oracle(g):
-    """Transitive closure of the edge-transition relation by repeated
-    boolean matrix multiplication, then the bar-covering check."""
-    m = len(g.edges)
-    adj = np.zeros((m, m), dtype=bool)
-    transitions = graphs.edge_transitions(g)
-    for e in range(m):
-        for f in transitions[e]:
-            adj[e][f] = True
-    reach = np.eye(m, dtype=bool) | adj
+def edge_closure(g):
+    """reach[e, f]: some reduced path starts with edge e and ends with edge
+    f, by repeated squaring of the edge-transition matrix read straight off
+    g.edges (e -> f iff f leaves e's range and does not cancel e's label)."""
+    src, tgt, lab = (np.array([getattr(e, key) for e in g.edges], dtype=int)
+                     for key in ("source", "target", "label"))
+    adj = (tgt[:, None] == src[None, :]) & (lab[None, :] != lab[:, None] ^ 1)
+    reach = np.eye(len(g.edges), dtype=bool) | adj
     while True:
-        nxt = reach | (reach @ reach)
+        square = reach.astype(np.float32)
+        nxt = reach | (square @ square > 0)
         if (nxt == reach).all():
-            break
+            return reach
         reach = nxt
-    return all(reach[e][f] or reach[e][g.edges[f].bar]
-               for e in range(m) for f in range(m))
+
+
+def unreachable_pair_oracle(g):
+    """The least e, then the least f, with no reduced path from e to f or
+    to bar(f); None if the graph is minimal."""
+    reach = edge_closure(g)
+    bars = [e.bar for e in g.edges]
+    missed = np.argwhere(~(reach | reach[:, bars]))
+    return tuple(int(x) for x in missed[0]) if len(missed) else None
+
+
+def minimality_oracle(g):
+    """Whether every ordered edge pair is joined by a reduced path up to
+    reversing the final edge, from the matrix closure."""
+    return unreachable_pair_oracle(g) is None
 
 
 def conditions_oracle(g):
     """The three connectivity conditions (c1, c2, c3) of
-    graphs.check_conditions, from a boolean matrix closure of the edge
-    transitions read straight off g.edges."""
+    graphs.check_conditions, from the matrix closure."""
     m, n = len(g.edges), len(g.vertices)
-    adj = np.zeros((m, m), dtype=bool)
-    for i, e in enumerate(g.edges):
-        for j, f in enumerate(g.edges):
-            adj[i][j] = f.source == e.target and f.label != e.label ^ 1
-    reach = np.eye(m, dtype=bool) | adj
-    while True:
-        nxt = reach | (reach @ reach)
-        if (nxt == reach).all():
-            break
-        reach = nxt
+    reach = edge_closure(g)
     bars = [e.bar for e in g.edges]
     c3 = bool(reach.all())
     c2 = bool((reach | reach[:, bars]).all())
     # vertex pairs: some edge out of v reaches some edge into w
-    out = np.zeros((n, m), dtype=int)
-    into = np.zeros((m, n), dtype=int)
+    out = np.zeros((n, m), dtype=np.float32)
+    into = np.zeros((m, n), dtype=np.float32)
     for i, e in enumerate(g.edges):
         out[e.source][i] = 1
         into[i][e.target] = 1
-    c1 = bool((out @ reach.astype(int) @ into > 0).all())
+    c1 = bool((out @ reach.astype(np.float32) @ into > 0).all())
     return c1, c2, c3
 
 

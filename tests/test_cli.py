@@ -58,6 +58,18 @@ def test_minimal(tmp_path, capsys, rose2):
     assert code == 0 and report["verdict"] is True
 
 
+def test_minimal_two_disjoint_roses(tmp_path, capsys, group2):
+    # edges 0-3 are the loops at u, 4-7 those at v: the least edge, then
+    # the least edge that no reduced path from it reaches, up to reversal
+    g = graphs.RauzyGraph.from_triples(
+        group2, ["u", "v"],
+        [("u", 0, "u"), ("u", 2, "u"), ("v", 0, "v"), ("v", 2, "v")])
+    path = write(tmp_path, "roses.json", graph_to_doc(g))
+    code, report = run(capsys, "minimal", path)
+    assert code == 1 and report["verdict"] is False
+    assert report["witnesses"] == {"unreachable_pair": [0, 4]}
+
+
 def test_conditions(tmp_path, capsys, group2, cyc2_doc):
     path = write(tmp_path, "cyc2.json", cyc2_doc)
     code, report = run(capsys, "conditions", path)
@@ -207,6 +219,27 @@ def test_booleans_are_not_integers(tmp_path, capsys, group2, cyc2, star3,
     container[key] = True
     code, report = run(capsys, *argv, write(tmp_path, "bool.json", doc))
     assert code == 2 and report["verdict"] == "input error"
+
+
+@pytest.mark.parametrize("where", ["window", "pattern"])
+@pytest.mark.parametrize("symbol", [[1], {"x": 1}, None, True, 1.0],
+                         ids=["list", "object", "null", "boolean", "float"])
+def test_symbols_are_strings_or_integers(tmp_path, capsys, where, symbol):
+    docs = {"window": {"rank": 2, "values": {"e": 1, "a": 0, "A": 0}},
+            "pattern": {"values": {"e": 1}}}
+
+    def return_set():
+        window = write(tmp_path, "w.json", docs["window"])
+        pattern = write(tmp_path, "p.json", docs["pattern"])
+        return run(capsys, "return-set", window, "--pattern", pattern,
+                   "--depth", "0")
+
+    code, report = return_set()
+    assert code == 0 and report["witnesses"]["returns"] == ["e"]
+    docs[where]["values"]["e"] = symbol
+    code, report = return_set()
+    assert code == 2 and report["verdict"] == "input error"
+    assert "is not a string or an integer" in report["witnesses"]["error"]
 
 
 def test_fiber_product(tmp_path, capsys, group2):

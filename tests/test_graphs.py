@@ -1,4 +1,5 @@
 import random
+from hashlib import sha256
 
 import pytest
 
@@ -7,6 +8,7 @@ from oracles import (
     conditions_oracle,
     minimality_oracle,
     symmetry_orbit,
+    unreachable_pair_oracle,
 )
 from rauzy import graphs
 from rauzy.generate import random_valid_graph
@@ -62,13 +64,34 @@ def test_two_disconnected_roses_not_minimal(group2):
     assert g.edges[e].source != g.edges[f].source  # different components
 
 
+# recorded before is_minimal and check_conditions shared one closure sweep
+MINIMAL_DIGEST = "4cd3dfb2b7296faa"
+
+
+def test_is_minimal_golden_digest():
+    # verdict and unreachable pair on every rank-2 class on <= 3 vertices
+    # and on sparse seeded graphs of rank 1-3, 321 of them not minimal
+    samples = [g for n in range(1, 4)
+               for g in graphs.all_valid_graphs(FreeGroup(2), n)]
+    rng = random.Random(31)
+    for rank, max_vertices, count in ((1, 8, 500), (2, 6, 300), (3, 4, 100)):
+        for _ in range(count):
+            samples.append(random_valid_graph(
+                FreeGroup(rank), rng, max_vertices,
+                density=rng.choice((0.0, 0.05, 0.1))))
+    records = [graphs.is_minimal(g) for g in samples]
+    assert (len(records), sum(not ok for ok, _ in records)) == (3216, 321)
+    assert sha256(repr(records).encode()).hexdigest()[:16] == MINIMAL_DIGEST
+
+
 def test_minimality_against_oracle_1000_random():
     group = FreeGroup(2)
     rng = random.Random(0)
     for _ in range(1000):
         g = random_valid_graph(group, rng, 3)
         assert graphs.validate(g) == []
-        assert graphs.is_minimal(g)[0] == minimality_oracle(g)
+        pair = unreachable_pair_oracle(g)
+        assert graphs.is_minimal(g) == (pair is None, pair)
 
 
 def test_condition_monotonicity_1000_random():
@@ -163,6 +186,38 @@ def test_conditions_against_oracle_on_every_class(rank, max_vertices):
     for n in range(1, max_vertices + 1):
         for g in graphs.all_valid_graphs(group, n):
             assert graphs.check_conditions(g) == conditions_oracle(g)
+
+
+def _schreier_union(group, rng, sizes):
+    """The disjoint union of Schreier graphs on blocks of the given sizes,
+    one random permutation per generator on each block."""
+    relations = [set() for _ in range(group.rank)]
+    offset = 0
+    for n in sizes:
+        for rel in relations:
+            perm = rng.sample(range(n), n)
+            rel |= {(offset + v, offset + perm[v]) for v in range(n)}
+        offset += n
+    return graphs.RauzyGraph.from_relations(group, offset, relations)
+
+
+def _split(rng, total, parts):
+    cuts = sorted(rng.sample(range(1, total), parts - 1))
+    return [b - a for a, b in zip([0] + cuts, cuts + [total])]
+
+
+def test_closure_against_oracles_on_many_components():
+    rng = random.Random(8)
+    samples = [graphs.letter_flow_graph(FreeGroup(d), pair)
+               for d in (2, 3) for pair in (False, True)]
+    for rank, sizes in ((2, [200, 200]), (2, [4] * 100), (2, [1] * 60),
+                        (2, _split(rng, 400, 3)), (2, _split(rng, 400, 30)),
+                        (3, _split(rng, 260, 7)), (1, _split(rng, 300, 12))):
+        samples.append(_schreier_union(FreeGroup(rank), rng, sizes))
+    for g in samples:
+        assert graphs.check_conditions(g) == conditions_oracle(g)
+        pair = unreachable_pair_oracle(g)
+        assert graphs.is_minimal(g) == (pair is None, pair)
 
 
 def test_xg_sft_rose(group2, rose2):

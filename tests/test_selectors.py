@@ -172,6 +172,53 @@ def test_validate_recurrent_flags_unreachable(group2, star3):
     assert any(v.startswith("(v)") for v in violations)
 
 
+def _unreachable_brute_force(sel, cycle):
+    """Check (v) of validate_recurrent, one closure per edge."""
+    g = sel.graph
+    core = set(cycle) | set(selectors.bar_cycle(g, cycle))
+    out = []
+    for e in range(len(g.edges)):
+        seen, stack = {e}, [e]
+        while stack:
+            x = stack.pop()
+            for s in g.group.letters:
+                y = sel.t1[x][s]
+                if s != inverse_letter(g.edges[x].label) and y not in seen:
+                    seen.add(y)
+                    stack.append(y)
+        if not seen & core:
+            out.append(f"(v) edge {e} cannot reach the cycle or its reverse")
+    return out
+
+
+def test_unreachable_edges_match_brute_force():
+    # steer every continuation out of a random vertex set back into it, so
+    # that the edges inside often form a trap that avoids the cycle
+    rng = random.Random(17)
+    counts = set()
+    for _ in range(60):
+        g = random_minimal_graph(FreeGroup(2), rng, 6)
+        cycle = selectors.find_cycle(g, 0)
+        sel = selectors.synthesize_recurrent(g, cycle)
+        for _ in range(10):
+            trap = set(rng.sample(range(len(g.vertices)),
+                                  rng.randint(1, len(g.vertices))))
+            t1 = [list(row) for row in sel.t1]
+            for e, edge in enumerate(g.edges):
+                for s in g.group.letters:
+                    options = [f for f in g.out_edges(edge.target, s)
+                               if g.edges[f].target in trap]
+                    if edge.target in trap and options:
+                        t1[e][s] = rng.choice(options)
+            tampered = EdgeSelector(g, sel.v0, sel.t0,
+                                    tuple(tuple(r) for r in t1))
+            found = [v for v in selectors.validate_recurrent(tampered, cycle)
+                     if v.startswith("(v)")]
+            assert found == _unreachable_brute_force(tampered, cycle)
+            counts.add(len(found))
+    assert 0 in counts and max(counts) >= 4
+
+
 def test_certify_minimality_fixtures(cyc2_selector, rose_selector):
     sel, cycle = cyc2_selector
     cert = selectors.certify_minimality(sel, cycle, 2, 6)
