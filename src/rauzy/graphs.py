@@ -287,7 +287,9 @@ def _conditions(n: int, src: list, tgt: list, lab: list,
     for f in range(m):
         out[src[f]] |= 1 << f
         reaching[tgt[f]] |= col[f]
-    c1 = all(out[v] & r for r in reaching for v in range(n))
+    # reaching[w] is one column per strongly connected component, so test
+    # each distinct value once
+    c1 = all(out[v] & r for r in set(reaching) for v in range(n))
     return c1, c2, c3
 
 

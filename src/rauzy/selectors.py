@@ -26,7 +26,7 @@ from .graphs import (
     require_valid,
 )
 from .patterns import Alphabet, Pattern, Sft, WindowConfig, _neighbor_rules
-from .words import (EPSILON, Letter, Word, _closure, _walk_ball, concat,
+from .words import (EPSILON, Letter, Word, _closure, _walk_ball, inverse,
                     inverse_letter)
 
 
@@ -511,22 +511,34 @@ def certify_minimality(sel: EdgeSelector, cycle: Sequence[int],
     """Verify syndetic returns for every translate up to the probe length.
 
     For each reduced g0 with |g0| <= probe_length, builds the return element
-    h = g0 * w1' * c^k (with c the word of whichever of the cycle or its
-    reverse the walk from g0 lands in, and k = ceil(window/|cycle|)) and
-    checks that x_T agrees with its h-translate on the whole window ball.
-    The identity probe uses h = identity (trivially a return).
+    h = g0 * r with r = w1' * c^k, where w1' is w1(e) without its last
+    letter for the edge e = T1(T0(g0[0]), g0[1:]) at g0, c is the word of
+    whichever of the cycle or its reverse the walk from e lands in and
+    k = ceil(window/|cycle|), and checks that x_T agrees with its
+    h-translate on the whole window ball.  The identity probe uses
+    h = identity (trivially a return).
 
-    The first disagreement is returned as a counterexample.  For selectors
-    built by synthesize_recurrent this cannot happen, so a counterexample is
-    a bug trap.  Note that the five recurrence conditions alone do not make
-    the certificate succeed: the base steering on letters outside the two
-    cycle-pinned slots must also match the steering after a full cycle
-    return, which the synthesizer arranges and free-handed selectors can
-    violate.  Pass require_recurrent=False to run the trap on a selector
-    that is known to break the recurrence conditions themselves.
+    The check at g0 depends on the edge e alone.  h is reduced as written
+    (label(e) * w1 is reduced), and |u| <= window <= |r| keeps h * u from
+    cancelling into g0, so x_T(h * u) is the range of T1(e, r * u).  Each
+    distinct edge is therefore checked once: r is walked from e keeping
+    the edge after every prefix, and the window ball is walked in canonical
+    order from the end of r, where a u that undoes a suffix of r takes the
+    edge kept at the matching prefix.  That costs
+    O(|B_probe| + |E| (|h| + |B_window|)) steps instead of the
+    O(|B_probe| |B_window| |h|) of walking every h * u from the identity.
+
+    The first failing probe is returned as a counterexample, with its g0,
+    h and first bad u.  For selectors built by synthesize_recurrent this
+    cannot happen, so a counterexample is a bug trap.  Note that the five
+    recurrence conditions alone do not make the certificate succeed: the
+    base steering on letters outside the two cycle-pinned slots must also
+    match the steering after a full cycle return, which the synthesizer
+    arranges and free-handed selectors can violate.  Pass
+    require_recurrent=False to run the trap on a selector that is known to
+    break the recurrence conditions themselves.
     """
     g = sel.graph
-    group = g.group
     if require_recurrent:
         violations = validate_recurrent(sel, cycle)
         if violations:
@@ -534,34 +546,58 @@ def certify_minimality(sel: EdgeSelector, cycle: Sequence[int],
                 "selector is not recurrent: " + "; ".join(violations))
     n = len(cycle)
     k = -(-window_radius // n)  # ceil
-    word_c = cycle_word(g, cycle)
-    word_cb = cycle_word(g, bar_cycle(g, cycle))
+    bodies = {"cycle": cycle_word(g, cycle),
+              "reverse": cycle_word(g, bar_cycle(g, cycle))}
     returns = _return_words(sel, cycle)
     max_return = max(len(w) for w, _ in returns.values())
 
-    ball_m = group.ball(window_radius)
-    base = {u: x_t(sel, u) for u in ball_m}
+    # the window ball by position: base vertex, then parent position and
+    # last letter (a placeholder at the identity, which is always undone)
+    ball_m = g.group.ball(window_radius)
+    targets = [e.target for e in g.edges] + [sel.v0]
+    base = [targets[e] for e in _walk_edges(sel, window_radius).values()]
+    at = {u: i for i, u in enumerate(ball_m)}
+    steps = [(0, 0)] + [(at[u[:-1]], u[-1]) for u in ball_m[1:]]
+
+    def first_miss(e: int, r: Word) -> tuple | None:
+        """(position of the first bad u, vertex got there) for the walks
+        from e along r * u; None if x_T agrees on the whole window."""
+        path = [e]
+        for x in r:
+            path.append(sel.t1[path[-1]][x])
+        # u = inverse of the last j letters of r, so r * u = r[:m - j]
+        m = len(r)
+        undo = {at[inverse(r[m - j:])]: path[m - j]
+                for j in range(window_radius + 1)}
+        state = []
+        for i, (parent, x) in enumerate(steps):
+            f = undo.get(i)
+            if f is None:
+                f = sel.t1[state[parent]][x]
+            if targets[f] != base[i]:
+                return i, targets[f]
+            state.append(f)
+        return None
+
+    checked: dict = {}   # edge -> (r, first miss)
     gap = 0
     probes = 0
-    for g0 in group.ball(probe_length):
+    for g0, e in _walk_edges(sel, probe_length).items():
+        probes += 1
         if g0 == EPSILON:
             # the identity lies in every return set; the cycle-power return
             # element only agrees at the center for general recurrent
             # selectors, so it cannot be used here
-            h = EPSILON
-        else:
-            e = sel.t0[g0[0]]
-            e = extend_t1(sel, e, g0[1:])
+            continue
+        if e not in checked:
             w1, which = returns[e]
-            body = word_c if which == "cycle" else word_cb
-            h = g0 + w1[:-1] + body * k
-        probes += 1
-        gap = max(gap, len(h) - len(g0))
-        for u in ball_m:
-            hu = concat(h, u)
-            got = x_t(sel, hu)
-            if got != base[u]:
-                return MinimalityCounterexample(
-                    g0, h, u, g.vertices[base[u]], g.vertices[got])
+            r = w1[:-1] + bodies[which] * k
+            checked[e] = r, first_miss(e, r)
+        r, miss = checked[e]
+        gap = max(gap, len(r))
+        if miss is not None:
+            i, got = miss
+            return MinimalityCounterexample(
+                g0, g0 + r, ball_m[i], g.vertices[base[i]], g.vertices[got])
     return MinimalityCertificate(
         window_radius, probe_length, probes, gap, n, k, max_return)

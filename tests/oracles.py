@@ -156,3 +156,51 @@ def placements_oracle(group, domain, F):
         if all(x in domain for x in placed):
             out.append((g, placed))
     return out
+
+
+def certificate_oracle(sel, cycle, window_radius, probe_length):
+    """The syndetic-return check of selectors.certify_minimality, probe by
+    probe: for every g0 of B_probe_length, every u of B_window_radius is
+    walked letter by letter along the reduced word h * u from sel.t0 and
+    sel.t1.  Returns ("certificate", window_radius, probe_length, probes,
+    gap, cycle length, cycle power, max |w1|) or ("counterexample", g0, h,
+    u, expected, got) for the first failing probe and its first bad u.
+    Only the return words w1 come from the library (selectors._return_words,
+    whose tie-breaks test_bfs_tie_breaks_golden_digest pins)."""
+    from rauzy.selectors import _return_words
+
+    g = sel.graph
+    group = g.group
+
+    def edge(w):   # T1(T0(w[0]), w[1:]) for a nonempty reduced word
+        e = sel.t0[w[0]]
+        for s in w[1:]:
+            e = sel.t1[e][s]
+        return e
+
+    def vertex(w):
+        return g.edges[edge(w)].target if w else sel.v0
+
+    n = len(cycle)
+    k = -(-window_radius // n)
+    words = {"cycle": tuple(g.edges[e].label for e in cycle),
+             "reverse": tuple(g.edges[g.edges[e].bar].label
+                              for e in reversed(cycle))}
+    returns = _return_words(sel, cycle)
+    window = group.ball(window_radius)
+    base = {u: vertex(u) for u in window}
+    gap = probes = 0
+    for g0 in group.ball(probe_length):
+        h = ()
+        if g0:
+            w1, which = returns[edge(g0)]
+            h = g0 + w1[:-1] + words[which] * k
+        probes += 1
+        gap = max(gap, len(h) - len(g0))
+        for u in window:
+            got = vertex(concat(h, u))
+            if got != base[u]:
+                return ("counterexample", g0, h, u, g.vertices[base[u]],
+                        g.vertices[got])
+    return ("certificate", window_radius, probe_length, probes, gap, n, k,
+            max(len(w) for w, _ in returns.values()))

@@ -118,6 +118,24 @@ def test_cycle_and_selector_pipeline(tmp_path, capsys, cyc2_doc):
     assert report["witnesses"]["syndeticity_gap"] <= 3
 
 
+def test_certify_minimal_counterexample(tmp_path, capsys, star3):
+    # the star3 selector whose free base letter a is retargeted: all five
+    # recurrence conditions hold, yet the return from g0 = a misses
+    u = star3.vertex_id("u")
+    cycle = (star3.edge_id(u, u, 2),)
+    sel = selectors.synthesize_recurrent(star3, cycle)
+    t0 = list(sel.t0)
+    t0[0] = next(e for e in star3.out_edges(u, 0) if e != sel.t0[0])
+    tampered = selectors.EdgeSelector(star3, sel.v0, tuple(t0), sel.t1)
+    path = write(tmp_path, "sel.json", selector_to_doc(tampered, cycle))
+    code, report = run(capsys, "certify-minimal", path,
+                       "--window", "2", "--depth", "4")
+    assert code == 1
+    assert report["verdict"] == "counterexample"
+    assert report["witnesses"] == {
+        "g0": "a", "h": "aabb", "u": "a", "expected": "w", "got": "v"}
+
+
 def test_cycle_on_non_minimal_graph(tmp_path, capsys, group2):
     two_roses = graphs.RauzyGraph.from_triples(
         group2, ["u", "v"],

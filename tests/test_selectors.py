@@ -15,6 +15,8 @@ from rauzy.selectors import (
 )
 from rauzy.words import EPSILON, FreeGroup, inverse_letter
 
+from oracles import certificate_oracle
+
 
 @pytest.fixture(scope="module")
 def cyc2_selector(cyc2):
@@ -342,6 +344,62 @@ def test_free_base_steering_must_match_cycle_return(star3):
     assert selectors.validate_recurrent(tampered, cycle) == []
     result = selectors.certify_minimality(tampered, cycle, 2, 4)
     assert isinstance(result, MinimalityCounterexample)
+
+
+def _retargeted(sel, rng, slots):
+    """sel with `slots` random t0/t1 entries moved to another edge of the
+    same source and label, where the graph offers one."""
+    g = sel.graph
+    t0, t1 = list(sel.t0), [list(row) for row in sel.t1]
+    for _ in range(slots):
+        s = rng.choice(g.group.letters)
+        if rng.random() < 0.3:
+            row, v = t0, sel.v0
+        else:
+            e = rng.randrange(len(t1))
+            row, v = t1[e], g.edges[e].target
+        options = [f for f in g.out_edges(v, s) if f != row[s]]
+        if options:
+            row[s] = rng.choice(options)
+    return EdgeSelector(g, sel.v0, tuple(t0), tuple(map(tuple, t1)))
+
+
+def _certificate_outcome(run):
+    try:
+        result = run()
+    except ValueError as err:
+        return ("error", str(err))
+    if isinstance(result, tuple):
+        return result
+    kind = ("certificate" if isinstance(result, MinimalityCertificate)
+            else "counterexample")
+    return (kind, *dataclasses.astuple(result))
+
+
+def test_certificate_matches_oracle():
+    rng = random.Random(7)
+    kinds = []
+    for rank, pairs in ((2, [(1, 3), (2, 4), (3, 5)]),
+                        (3, [(1, 2), (2, 3), (3, 2)])):
+        group = FreeGroup(rank)
+        for _ in range(12):
+            g = random_minimal_graph(group, rng, 4)
+            cycle = selectors.find_cycle(g, rng.randrange(len(g.vertices)))
+            sel = selectors.synthesize_recurrent(g, cycle)
+            cases = [(sel, True)] + [(_retargeted(sel, rng, rng.randint(1, 3)),
+                                      False) for _ in range(4)]
+            for chosen, recurrent in cases:
+                window, depth = rng.choice(pairs)
+                got = _certificate_outcome(
+                    lambda: selectors.certify_minimality(
+                        chosen, cycle, window, depth,
+                        require_recurrent=recurrent))
+                want = _certificate_outcome(
+                    lambda: certificate_oracle(chosen, cycle, window, depth))
+                assert got == want
+                kinds.append(got[0])
+    assert kinds.count("counterexample") >= 10
+    assert kinds.count("certificate") >= 10
 
 
 def test_certify_random_pipeline():
