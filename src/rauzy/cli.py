@@ -75,10 +75,10 @@ def _measured_graph(doc) -> MeasuredRauzyGraph:
     return g
 
 
-def _write_dot(path, text):
+def _write_dot(path, render, obj):
     if path:
         with open(path, "w") as fh:
-            fh.write(text)
+            fh.write(render(obj))
 
 
 # -- command implementations: return (verdict, witnesses, exit_ok)
@@ -87,7 +87,7 @@ def cmd_validate(args):
     doc, digest = _read_doc(args.graph)
     g = _bare_graph(doc)
     violations = graphs.validate(g)
-    _write_dot(args.dot, graph_to_dot(g))
+    _write_dot(args.dot, graph_to_dot, g)
     if violations:
         return {"graph": digest}, "invalid", {"violations": violations}, False
     return {"graph": digest}, "ok", {}, True
@@ -240,7 +240,7 @@ def cmd_finite_action(args):
     act, pi = actions.build_finite_action(mg)
     if args.transitive:
         act = actions.make_transitive(act, pi, mg, generator=args.generator)
-    _write_dot(args.dot, action_to_dot(act))
+    _write_dot(args.dot, action_to_dot, act)
     pi_doc = {point_name(p): str(v) for p, v in pi.items()}
     return ({"graph": digest}, "ok",
             {"action": action_to_doc(act), "pi": pi_doc,

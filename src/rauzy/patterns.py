@@ -1,18 +1,21 @@
 """Patterns, SFTs and locally admissible window enumeration.
 
 A pattern is a finite partial coloring of the group: a map from a finite set
-of reduced words to alphabet symbols.  An SFT is given by a finite forbidden
-set of patterns together with a defining window.  Everything here is local:
-``enumerate_window`` produces the *locally admissible* colorings of a finite
-domain (no translate of a forbidden pattern fits inside it), which is all
-that is decidable at finite scale.  Global admissibility is never claimed.
+of reduced words to alphabet symbols.  Every SFT is one-step: it forbids
+symbols {eps: a} and pairs {eps: a, s: b}; wider supports F recode to the
+vertex SFT of ``graphs.pattern_graph`` over F through ``iota``/``window_j``.
+Everything here is local: ``enumerate_window`` produces the *locally
+admissible* colorings of a finite domain (no translate of a forbidden
+pattern fits inside it), which is all that is decidable at finite scale.
+Global admissibility is never claimed.
 """
 
 from __future__ import annotations
 
 from typing import Iterable, Mapping, Sequence
 
-from .words import EPSILON, FreeGroup, Word, concat, inverse, word_key
+from .words import (EPSILON, FreeGroup, Word, concat, inverse, mul_letter,
+                    word_key)
 
 
 class CapExceededError(RuntimeError):
@@ -147,7 +150,8 @@ class WindowLanguage:
 
 
 class Sft:
-    """A subshift of finite type: alphabet, forbidden patterns, defining window.
+    """A one-step subshift of finite type: alphabet, forbidden patterns on
+    {eps} or {eps, s} for a letter s, and a defining window holding them.
 
     The window may be strictly larger than the union of the forbidden
     supports; both are kept explicitly.
@@ -161,11 +165,12 @@ class Sft:
         self.window = frozenset(window)
         if EPSILON not in self.window:
             raise ValueError("defining window must contain the identity")
+        steps = {(EPSILON,)} | {(EPSILON, w) for w in self.window
+                                if len(w) == 1}
         for p in self.forbidden:
-            missing = [w for w in p.support if w not in self.window]
-            if missing:
-                raise ValueError(
-                    f"forbidden support {missing} outside the defining window")
+            if p.support not in steps:
+                raise ValueError(f"forbidden support {list(p.support)} is "
+                                 "not one step inside the defining window")
 
     def __repr__(self):
         return (f"Sft(|A|={len(self.alphabet)}, forbidden={len(self.forbidden)}, "
@@ -217,17 +222,6 @@ def _placements(domain: Sequence[Word], F: Sequence[Word]) -> list:
     return out
 
 
-def _forbidden_placements(sft: Sft, domain: Sequence[Word]) -> list:
-    """Each placement inside the domain of a forbidden support, with the
-    value tuples forbidden there, as (placed words, values)."""
-    by_support: dict = {}
-    for p in sft.forbidden:
-        by_support.setdefault(p.support, set()).add(
-            tuple(v for _, v in p.items))
-    return [(placed, vals) for sup, vals in by_support.items()
-            for _, placed in _placements(domain, sup)]
-
-
 def _patterns_at(config: WindowConfig, F: Sequence[Word]) -> dict:
     """{g: the F-pattern f -> config(g*f)} over every placement of F inside
     the config's domain."""
@@ -249,13 +243,32 @@ def _neighbor_rules(group: FreeGroup, symbols: Sequence, follow) -> list:
     return out
 
 
+def _follow_table(sft: Sft) -> tuple:
+    """(first, follow): the symbols not banned at a site, and follow[a, s]
+    for a in first: the symbols b of first such that neither {eps: a, s: b}
+    nor {eps: b, s^-1: a} is forbidden, both in alphabet order."""
+    banned, pairs = set(), set()
+    for p in sft.forbidden:
+        if len(p) == 1:
+            banned.add(p[EPSILON])
+        else:
+            (_, a), ((s,), b) = p.items
+            pairs.update(((a, s, b), (b, s ^ 1, a)))
+    first = tuple(a for a in sft.alphabet.symbols if a not in banned)
+    follow = {(a, s): tuple(b for b in first if (a, s, b) not in pairs)
+              for a in first for s in sft.group.letters}
+    return first, follow
+
+
 def enumerate_window(sft: Sft, domain: Iterable[Word],
                      cap: int = 10_000_000) -> tuple:
     """All locally admissible colorings of `domain`, in deterministic order.
 
-    Depth-first backtracking in the canonical ball order; every forbidden
-    translate is checked as soon as its support is fully colored.  Raises
-    CapExceededError if more than `cap` configs would be produced.
+    Depth-first backtracking in the canonical ball order.  The domain is a
+    subtree of the Cayley tree, so a word w meets the words colored before
+    it only at its parent w[:-1], and its candidates are follow[parent's
+    symbol, w[-1]]: one step per search-tree node, not |A| tuple checks.
+    Raises CapExceededError if more than `cap` configs would be produced.
     """
     order = sorted(set(domain), key=word_key)
     if not order or order[0] != EPSILON:
@@ -264,18 +277,9 @@ def enumerate_window(sft: Sft, domain: Iterable[Word],
     if not group.is_connected(order):
         raise ValueError("domain must be connected in the Cayley graph")
     pos = {w: i for i, w in enumerate(order)}
+    parent = [pos[w[:-1]] for w in order]
     n = len(order)
-
-    # checks[k]: list of (index_tuple, forbidden value tuples) completed at k
-    checks: list = [[] for _ in range(n)]
-    grouped: dict = {}
-    for placed, vals in _forbidden_placements(sft, order):
-        idxs = tuple(pos[w] for w in placed)
-        grouped.setdefault((max(idxs), idxs), set()).update(vals)
-    for (last, idxs), vals in sorted(grouped.items(), key=lambda kv: kv[0]):
-        checks[last].append((idxs, vals))
-
-    symbols = sft.alphabet.symbols
+    first, follow = _follow_table(sft)
     out = []
     assignment = [None] * n
 
@@ -286,27 +290,23 @@ def enumerate_window(sft: Sft, domain: Iterable[Word],
                     f"window enumeration cap exceeded ({cap} configs)")
             out.append(WindowConfig(zip(order, assignment)))
             return
-        local = checks[k]
-        for sym in symbols:
+        for sym in follow[assignment[parent[k]], order[k][-1]] if k else first:
             assignment[k] = sym
-            ok = True
-            for idxs, vals in local:
-                if tuple(assignment[i] for i in idxs) in vals:
-                    ok = False
-                    break
-            if ok:
-                extend(k + 1)
-        assignment[k] = None
+            extend(k + 1)
 
     extend(0)
     return tuple(out)
 
 
 def is_locally_admissible(sft: Sft, config: WindowConfig) -> bool:
-    """Whether no forbidden translate fits fully colored inside the config."""
-    spots = _forbidden_placements(sft, config.domain)
-    return not any(tuple(config[w] for w in placed) in vals
-                   for placed, vals in spots)
+    """Whether no forbidden translate fits inside the config, whose domain
+    may be disconnected: each symbol is in first, and each symbol at a
+    neighbour w*s of w is in follow[config(w), s]."""
+    first, follow = _follow_table(sft)
+    return (all(v in first for _, v in config.items)
+            and all(config[ws] in follow[v, s] for w, v in config.items
+                    for s in sft.group.letters
+                    if (ws := mul_letter(w, s)) in config))
 
 
 def iota(group: FreeGroup, F: Sequence[Word], config: WindowConfig) -> WindowConfig:

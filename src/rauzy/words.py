@@ -182,12 +182,9 @@ class FreeGroup:
         return "".join(self.format_letter(x) for x in w)
 
     def parse_letter(self, c: str) -> Letter:
-        if "a" <= c <= "z":
-            x = 2 * (ord(c) - 97)
-        elif "A" <= c <= "Z":
-            x = 2 * (ord(c) - 65) + 1
-        else:
+        if not (len(c) == 1 and c.isascii() and c.isalpha()):
             raise ValueError(f"invalid letter {c!r}")
+        x = 2 * (ord(c.lower()) - 97) + c.isupper()
         if letter_index(x) >= self.rank:
             raise ValueError(f"letter {c!r} out of range for rank {self.rank}")
         return x

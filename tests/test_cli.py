@@ -3,7 +3,7 @@ from fractions import Fraction
 
 import pytest
 
-from rauzy import graphs, measured, selectors
+from rauzy import cli, graphs, measured, selectors
 from rauzy.actions import FiniteAction
 from rauzy.cli import main
 from rauzy.serialize import (
@@ -290,6 +290,14 @@ def test_special_symbol_and_return_set(tmp_path, capsys):
         sorted(["e", "a", "aa", "A", "AA"])
 
 
+@pytest.mark.parametrize("gen", ["c", "ab"])
+def test_special_symbol_bad_generator(capsys, gen):
+    code, report = run(capsys, "special-symbol", "--rank", "2",
+                       "--gen", gen, "--radius", "1")
+    assert code == 1 and report["verdict"] == "error"
+    assert repr(gen) in report["witnesses"]["error"]
+
+
 def test_search_condition_witness_small(capsys):
     code, report = run(capsys, "search-condition-witness",
                        "--max-vertices", "2")
@@ -381,3 +389,31 @@ def test_dot_export(tmp_path, capsys, cyc2_doc):
     assert '"u" -> "v" [label="a"]' in text
     # negative labels are implied by the involution, not drawn
     assert 'label="A"' not in text
+
+
+def test_finite_action_dot_export(tmp_path, capsys, cyc2):
+    path = write(tmp_path, "meas.json",
+                 measured_to_doc(measured.integer_solution(cyc2)))
+    dot = tmp_path / "a.dot"
+    code, report = run(capsys, "finite-action", path, "--dot", str(dot))
+    assert code == 0
+    points = report["witnesses"]["action"]["points"]
+    arrows = [line for line in dot.read_text().splitlines() if "->" in line]
+    assert len(arrows) == len(points) * cyc2.group.rank
+    for c in "ab":
+        assert sum(f'[label="{c}"]' in line for line in arrows) == len(points)
+
+
+def test_dot_is_rendered_only_on_request(tmp_path, capsys, monkeypatch, cyc2,
+                                         cyc2_doc):
+    def refuse(_):
+        raise AssertionError("DOT rendered without --dot")
+
+    monkeypatch.setattr(cli, "graph_to_dot", refuse)
+    monkeypatch.setattr(cli, "action_to_dot", refuse)
+    code, _ = run(capsys, "validate", write(tmp_path, "g.json", cyc2_doc))
+    assert code == 0
+    path = write(tmp_path, "meas.json",
+                 measured_to_doc(measured.integer_solution(cyc2)))
+    code, _ = run(capsys, "finite-action", path, "--transitive")
+    assert code == 0

@@ -24,7 +24,7 @@ from rauzy.patterns import (
     window_j,
     _placements,
 )
-from rauzy.serialize import sft_to_doc
+from rauzy.serialize import DocumentError, sft_from_doc, sft_to_doc
 from rauzy.special import special_symbol_sft, x0_window
 from rauzy.words import EPSILON, FreeGroup, concat, inverse, reduce_word
 
@@ -283,11 +283,93 @@ def test_local_admissibility_matches_enumeration(group2, cyc2):
         assert is_locally_admissible(sft, c) == (c in admissible)
 
 
+def _random_one_step_sft(rng, group):
+    """A random SFT over B_1 with 1-4 symbols: some symbols banned, one of
+    them possibly in no pair rule, and pair rules {eps: a, s: b} drawn
+    independently per letter, so the rule along s^-1 rarely mirrors the
+    rule along s."""
+    symbols = list(range(rng.randint(1, 4)))
+    banned = [a for a in symbols if rng.random() < 0.3]
+    quiet = set(banned[:1]) if rng.random() < 0.5 else set()
+    ruled = [a for a in symbols if a not in quiet]
+    forbidden = [Pattern({EPSILON: a}) for a in banned]
+    forbidden += [Pattern({EPSILON: a, (s,): b}) for s in group.letters
+                  for a in ruled for b in ruled if rng.random() < 0.35]
+    return Sft(group, Alphabet(symbols), forbidden, group.ball(1))
+
+
+def _admissibility_oracle(group, sft, domain):
+    """A test of colorings of `domain`: no forbidden pattern matches at a
+    placement of its support, the placements coming from the brute-force
+    placement oracle."""
+    placements = {}
+    spots = []
+    for p in sft.forbidden:
+        if p.support not in placements:
+            placements[p.support] = placements_oracle(group, domain, p.support)
+        values = tuple(v for _, v in p.items)
+        spots += [(placed, values) for _, placed in placements[p.support]]
+    return lambda c: not any(tuple(c[x] for x in placed) == values
+                             for placed, values in spots)
+
+
+def test_one_step_sfts_match_placement_oracle():
+    rng = random.Random(808)
+    for rank in (1, 2, 3):
+        group = FreeGroup(rank)
+        letters = list(group.letters)
+        ball2, ball3 = group.ball(2), set(group.ball(3))
+        for _ in range(25):
+            sft = _random_one_step_sft(rng, group)
+            symbols = sft.alphabet.symbols
+            # a domain containing eps and connected in the Cayley tree
+            size = next(n for n in range(9, 0, -1)
+                        if len(symbols) ** n <= 512)
+            domain = {EPSILON}
+            for _ in range(4 * size):
+                w = concat(rng.choice(sorted(domain)), (rng.choice(letters),))
+                if w in ball3 and len(domain) < size:
+                    domain.add(w)
+            order = sorted(domain, key=lambda w: (len(w), w))
+            admissible = _admissibility_oracle(group, sft, order)
+            want = [c.items for c in (
+                WindowConfig(zip(order, colors)) for colors in
+                itertools.product(symbols, repeat=len(order)))
+                if admissible(c)]
+            assert [c.items for c in enumerate_window(sft, domain)] == want
+            # configs on a random, possibly disconnected part of B_2
+            for _ in range(6):
+                part = rng.sample(ball2, rng.randint(1, len(ball2)))
+                admissible = _admissibility_oracle(group, sft, part)
+                for _ in range(5):
+                    c = WindowConfig({w: rng.choice(symbols) for w in part})
+                    assert is_locally_admissible(sft, c) == admissible(c)
+
+
 def test_sft_window_invariants(group2):
     with pytest.raises(ValueError):
         Sft(group2, Alphabet([0]), [], [(0,)])   # window without identity
     with pytest.raises(ValueError):
         Sft(group2, Alphabet([0]), [Pattern({(0,): 0})], [EPSILON])
+
+
+WIDE_SUPPORTS = {"e,a,b": ["e", "a", "b"], "e,ab": ["e", "ab"], "a": ["a"]}
+
+
+@pytest.mark.parametrize("support", WIDE_SUPPORTS.values(),
+                         ids=WIDE_SUPPORTS.keys())
+def test_sft_forbids_only_one_step_supports(group2, support):
+    window = list(group2.ball(2))
+    pattern = Pattern({group2.parse_word(w): 0 for w in support})
+    with pytest.raises(ValueError, match="forbidden support"):
+        Sft(group2, Alphabet([0, 1]), [pattern], window)
+    doc = {"rank": 2, "alphabet": [0, 1],
+           "window": [group2.format_word(w) for w in window],
+           "forbidden": [{w: 0 for w in support}]}
+    with pytest.raises(DocumentError, match="^sft: forbidden support"):
+        sft_from_doc(doc)
+    doc["forbidden"] = [{"e": 0, "b": 1}]
+    assert sft_to_doc(sft_from_doc(doc)) == doc
 
 
 # SHA-256 of _nearest_neighbour_records(): the SFT documents of the four

@@ -134,6 +134,9 @@ def test_parse_and_format_roundtrip():
     assert group.parse_word("aA") == EPSILON
     with pytest.raises(ValueError):
         group.parse_word("ax")   # x out of range for rank 2
+    for text in ("ab", "", "1"):
+        with pytest.raises(ValueError, match="invalid letter"):
+            group.parse_letter(text)
 
 
 def test_rank_bounds():
