@@ -15,6 +15,7 @@ import hashlib
 import json
 import sys
 import time
+from dataclasses import asdict
 
 from . import actions, graphs, measured, selectors, special
 from .patterns import CapExceededError, enumerate_window
@@ -198,16 +199,7 @@ def cmd_certify_minimal(args):
     result = selectors.certify_minimality(sel, cycle, args.window, args.depth)
     group = sel.graph.group
     if isinstance(result, MinimalityCertificate):
-        wit = {
-            "window_radius": result.window_radius,
-            "probe_length": result.probe_length,
-            "probes": result.probes,
-            "syndeticity_gap": result.syndeticity_gap,
-            "cycle_length": result.cycle_length,
-            "cycle_power": result.cycle_power,
-            "max_return_length": result.max_return_length,
-        }
-        return {"selector": digest}, "certified", wit, True
+        return {"selector": digest}, "certified", asdict(result), True
     wit = {
         "g0": group.format_word(result.g0),
         "h": group.format_word(result.h),

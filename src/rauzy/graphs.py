@@ -340,16 +340,15 @@ def _reach(adj: list, start: int) -> int:
 
 def xg_sft(g: RauzyGraph) -> Sft:
     """The SFT X(G) over the vertex alphabet: configurations are morphisms
-    from the Cayley graph, cut out by forbidding every two-word pattern
-    {eps -> v1, s -> v2} with no edge v1 -s-> v2."""
+    from the Cayley graph, cut out by forbidding every pair (v1, s, v2)
+    with no edge v1 -s-> v2."""
     require_valid(g)
     targets: dict = {}
     for e in g.edges:
         targets.setdefault((g.vertices[e.source], e.label), set()).add(
             g.vertices[e.target])
-    forbidden = _neighbor_rules(g.group, g.vertices,
-                                lambda a, s: targets[a, s])
-    return Sft(g.group, Alphabet(g.vertices), forbidden, g.group.ball(1))
+    pairs = _neighbor_rules(g.group, g.vertices, lambda a, s: targets[a, s])
+    return Sft(g.group, Alphabet(g.vertices), g.group.ball(1), pairs=pairs)
 
 
 def pattern_graph(group: FreeGroup, alphabet: Alphabet,

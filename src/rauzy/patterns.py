@@ -1,13 +1,13 @@
 """Patterns, SFTs and locally admissible window enumeration.
 
 A pattern is a finite partial coloring of the group: a map from a finite set
-of reduced words to alphabet symbols.  Every SFT is one-step: it forbids
-symbols {eps: a} and pairs {eps: a, s: b}; wider supports F recode to the
-vertex SFT of ``graphs.pattern_graph`` over F through ``iota``/``window_j``.
-Everything here is local: ``enumerate_window`` produces the *locally
-admissible* colorings of a finite domain (no translate of a forbidden
-pattern fits inside it), which is all that is decidable at finite scale.
-Global admissibility is never claimed.
+of reduced words to alphabet symbols.  Every SFT is one-step: it bans
+symbols a and triples (a, s, b), the patterns {eps: a} and {eps: a, s: b};
+wider supports F recode to the vertex SFT of ``graphs.pattern_graph`` over
+F through ``iota``/``window_j``.  Everything here is local:
+``enumerate_window`` produces the *locally admissible* colorings of a
+finite domain (no ban occurs inside it), which is all that is decidable at
+finite scale.  Global admissibility is never claimed.
 """
 
 from __future__ import annotations
@@ -150,35 +150,28 @@ class WindowLanguage:
 
 
 class Sft:
-    """A one-step subshift of finite type: alphabet, forbidden patterns on
-    {eps} or {eps, s} for a letter s, and a defining window holding them.
-
-    The window may be strictly larger than the union of the forbidden
-    supports; both are kept explicitly.
-    """
+    """A one-step SFT over a defining window: no symbol of `banned` occurs,
+    nor any triple (a, s, b) of `pairs`, b at w*s next to a at w.  Each
+    letter s of a triple has (s,) in the window, which may be larger."""
 
     def __init__(self, group: FreeGroup, alphabet: Alphabet,
-                 forbidden: Iterable[Pattern], window: Iterable[Word]):
+                 window: Iterable[Word], banned: Iterable = (),
+                 pairs: Iterable[tuple] = ()):
         self.group = group
         self.alphabet = alphabet
-        self.forbidden = frozenset(forbidden)
         self.window = frozenset(window)
+        self.banned = frozenset(banned)
+        self.pairs = frozenset(pairs)
         if EPSILON not in self.window:
             raise ValueError("defining window must contain the identity")
-        steps = {(EPSILON,)} | {(EPSILON, w) for w in self.window
-                                if len(w) == 1}
-        for p in self.forbidden:
-            if p.support not in steps:
-                raise ValueError(f"forbidden support {list(p.support)} is "
-                                 "not one step inside the defining window")
 
     def __repr__(self):
-        return (f"Sft(|A|={len(self.alphabet)}, forbidden={len(self.forbidden)}, "
-                f"window={len(self.window)})")
+        return (f"Sft(|A|={len(self.alphabet)}, banned={len(self.banned)}, "
+                f"pairs={len(self.pairs)}, window={len(self.window)})")
 
 
 def full_shift(group: FreeGroup, alphabet: Alphabet) -> Sft:
-    return Sft(group, alphabet, (), (EPSILON,))
+    return Sft(group, alphabet, (EPSILON,))
 
 
 def translate_pattern(s: Word, p: Pattern) -> Pattern:
@@ -230,31 +223,22 @@ def _patterns_at(config: WindowConfig, F: Sequence[Word]) -> dict:
 
 
 def _neighbor_rules(group: FreeGroup, symbols: Sequence, follow) -> list:
-    """The rule "b may follow a along s" as forbidden patterns over the
-    window B_1: every {eps: a, (s,): b} over `symbols` with b outside the
-    set follow(a, s)."""
+    """The rule "b may follow a along s" as the triples (a, s, b) over
+    `symbols` with b outside the set follow(a, s)."""
     out = []
     for s in group.letters:
-        sw = (s,)
         for a in symbols:
             allowed = follow(a, s)
-            out += [Pattern({EPSILON: a, sw: b})
-                    for b in symbols if b not in allowed]
+            out += [(a, s, b) for b in symbols if b not in allowed]
     return out
 
 
 def _follow_table(sft: Sft) -> tuple:
     """(first, follow): the symbols not banned at a site, and follow[a, s]
-    for a in first: the symbols b of first such that neither {eps: a, s: b}
-    nor {eps: b, s^-1: a} is forbidden, both in alphabet order."""
-    banned, pairs = set(), set()
-    for p in sft.forbidden:
-        if len(p) == 1:
-            banned.add(p[EPSILON])
-        else:
-            (_, a), ((s,), b) = p.items
-            pairs.update(((a, s, b), (b, s ^ 1, a)))
-    first = tuple(a for a in sft.alphabet.symbols if a not in banned)
+    for a in first: the symbols b of first such that neither (a, s, b) nor
+    (b, s^-1, a) is a pair rule, both in alphabet order."""
+    pairs = sft.pairs | {(b, s ^ 1, a) for a, s, b in sft.pairs}
+    first = tuple(a for a in sft.alphabet.symbols if a not in sft.banned)
     follow = {(a, s): tuple(b for b in first if (a, s, b) not in pairs)
               for a in first for s in sft.group.letters}
     return first, follow
@@ -299,9 +283,9 @@ def enumerate_window(sft: Sft, domain: Iterable[Word],
 
 
 def is_locally_admissible(sft: Sft, config: WindowConfig) -> bool:
-    """Whether no forbidden translate fits inside the config, whose domain
-    may be disconnected: each symbol is in first, and each symbol at a
-    neighbour w*s of w is in follow[config(w), s]."""
+    """Whether no banned symbol or pair occurs inside the config, whose
+    domain may be disconnected: each symbol is in first, and each symbol at
+    a neighbour w*s of w is in follow[config(w), s]."""
     first, follow = _follow_table(sft)
     return (all(v in first for _, v in config.items)
             and all(config[ws] in follow[v, s] for w, v in config.items
@@ -365,9 +349,9 @@ def tag_symbol(tag: str, symbol) -> str:
 def disjoint_union(x: Sft, y: Sft) -> Sft:
     """The SFT of the disjoint union of two subshifts over tagged alphabets.
 
-    Beyond the tagged copies of both forbidden sets, it forbids every mixed
-    two-word pattern {eps, s} whose values carry different tags, which pins
-    each configuration inside one of the two alphabets.
+    Beyond the tagged copies of both rule sets, it forbids every neighbour
+    pair whose symbols carry different tags, which pins each configuration
+    inside one of the two alphabets.
     """
     if x.group != y.group:
         raise ValueError("disjoint union needs a common group")
@@ -375,11 +359,13 @@ def disjoint_union(x: Sft, y: Sft) -> Sft:
     left = [tag_symbol("L", a) for a in x.alphabet]
     right = [tag_symbol("R", b) for b in y.alphabet]
     same_tag = dict.fromkeys(left, set(left)) | dict.fromkeys(right, set(right))
-    forbidden = [Pattern({w: tag_symbol(tag, v) for w, v in p.items})
-                 for tag, z in (("L", x), ("R", y)) for p in z.forbidden]
-    forbidden += _neighbor_rules(group, left + right, lambda a, s: same_tag[a])
+    tagged = (("L", x), ("R", y))
+    banned = [tag_symbol(tag, a) for tag, z in tagged for a in z.banned]
+    pairs = [(tag_symbol(tag, a), s, tag_symbol(tag, b))
+             for tag, z in tagged for a, s, b in z.pairs]
+    pairs += _neighbor_rules(group, left + right, lambda a, s: same_tag[a])
     window = x.window | y.window | set(group.ball(1))
-    return Sft(group, Alphabet(left + right), forbidden, window)
+    return Sft(group, Alphabet(left + right), window, banned, pairs)
 
 
 def restrict_language(configs: Iterable[WindowConfig],

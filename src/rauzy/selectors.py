@@ -25,7 +25,7 @@ from .graphs import (
     is_minimal,
     require_valid,
 )
-from .patterns import Alphabet, Pattern, Sft, WindowConfig, _neighbor_rules
+from .patterns import Alphabet, Sft, WindowConfig, _neighbor_rules
 from .words import (EPSILON, Letter, Word, _closure, _walk_ball, inverse,
                     inverse_letter)
 
@@ -174,7 +174,7 @@ def sofic_witness(sel: EdgeSelector) -> SoficWitness:
     orbit of z0, together with the symbol map phi collapsing it onto the
     vertex alphabet.
 
-    Forbidden patterns, over the window B_1:
+    Rules, over the window B_1:
       * any symbol outside the range of z0 (star included in the range);
       * consecutive edges whose labels cancel;
       * a star forces T0 in every direction;
@@ -210,10 +210,9 @@ def sofic_witness(sel: EdgeSelector) -> SoficWitness:
             return {edge_symbol(sel.t1[e][s])}
         return enters.get((e, le), {STAR})
 
-    forbidden = [Pattern({EPSILON: edge_symbol(i)})
-                 for i in range(len(g.edges)) if i not in reach]
-    forbidden += _neighbor_rules(group, [STAR, *range_symbols], follow)
-    sft = Sft(group, alphabet, forbidden, group.ball(1))
+    banned = [edge_symbol(i) for i in range(len(g.edges)) if i not in reach]
+    pairs = _neighbor_rules(group, [STAR, *range_symbols], follow)
+    sft = Sft(group, alphabet, group.ball(1), banned, pairs)
     return SoficWitness(sft, phi, sel, reach)
 
 

@@ -1,15 +1,18 @@
 """JSON document formats for graphs, selectors, actions, windows and SFTs.
 
 One document shape per object kind; words are letter strings ("abA", "e"
-for the identity), rationals are "p/q" strings, vertices and points are
-named by strings.  Parsing is strict: any malformed field raises
+for the identity), rationals are JSON integers or "p"/"p/q" strings of
+decimal integers with an optional sign, vertices and points are named by
+strings.  Parsing is strict: any malformed field raises
 DocumentError naming its location.  Emitted documents re-parse to equal
 in-memory values, and emitting a parsed document reproduces it.
 """
 
 from __future__ import annotations
 
+import re
 from fractions import Fraction
+from operator import itemgetter
 from typing import Any
 
 from .actions import FiniteAction
@@ -17,7 +20,7 @@ from .graphs import Edge, RauzyGraph
 from .measured import MeasuredRauzyGraph
 from .patterns import Alphabet, Pattern, Sft, WindowConfig
 from .selectors import EdgeSelector
-from .words import FreeGroup, word_key
+from .words import EPSILON, FreeGroup, word_key
 
 
 class DocumentError(ValueError):
@@ -41,7 +44,10 @@ def _group(doc: dict, where: str) -> FreeGroup:
     rank = _need(doc, "rank", where)
     if not _is_int(rank) or rank < 1:
         raise DocumentError(f"{where}.rank: must be a positive integer")
-    return FreeGroup(rank)
+    try:
+        return FreeGroup(rank)
+    except ValueError as exc:
+        raise DocumentError(f"{where}.rank: {exc}") from None
 
 
 def _parse_word(group: FreeGroup, s: Any, where: str):
@@ -53,10 +59,11 @@ def _parse_word(group: FreeGroup, s: Any, where: str):
         raise DocumentError(f"{where}: {exc}") from None
 
 
+_RATIONAL = re.compile(r"[+-]?[0-9]+(/[0-9]+)?")
+
+
 def _parse_fraction(s: Any, where: str) -> Fraction:
-    if _is_int(s):
-        return Fraction(s)
-    if not isinstance(s, str):
+    if not (_is_int(s) or isinstance(s, str) and _RATIONAL.fullmatch(s)):
         raise DocumentError(f"{where}: rationals must be 'p/q' strings")
     try:
         return Fraction(s)
@@ -306,28 +313,31 @@ def window_from_doc(doc: dict) -> tuple[FreeGroup, WindowConfig]:
     return group, WindowConfig(_values_from_doc(group, doc, "window"))
 
 
-def pattern_to_doc(group: FreeGroup, p: Pattern) -> dict:
-    return {"values": {group.format_word(w): _symbol(v, "pattern")
-                       for w, v in p.items}}
-
-
 def pattern_from_doc(group: FreeGroup, doc: dict) -> Pattern:
     return Pattern(_values_from_doc(group, doc, "pattern"))
 
 
 def sft_to_doc(sft: Sft) -> dict:
+    """The SFT with its rules as forbidden patterns, ordered by repr(a):
+    the ban {e: a} first, then a's pairs {e: a, s: b} by s and repr(b)."""
     group = sft.group
+    names = [group.format_letter(s) for s in group.letters]
+    pairs_of: dict = {}   # a -> its pairs as (s, repr(b), b)
+    for a, s, b in sft.pairs:
+        pairs_of.setdefault(a, []).append((s, repr(b), b))
+    forbidden = []
+    for a in sorted(sft.banned | pairs_of.keys(), key=repr):
+        if a in sft.banned:
+            forbidden.append({"e": a})
+        forbidden += [{"e": a, names[s]: b} for s, _, b in
+                      sorted(pairs_of.get(a, ()), key=itemgetter(0, 1))]
     return {
         "rank": group.rank,
         "alphabet": [_symbol(a, "sft.alphabet")
                      for a in sft.alphabet],
         "window": [group.format_word(w)
                    for w in sorted(sft.window, key=word_key)],
-        "forbidden": [
-            pattern_to_doc(group, p)["values"]
-            for p in sorted(sft.forbidden, key=lambda p: tuple(
-                (word_key(w), repr(v)) for w, v in p.items))
-        ],
+        "forbidden": forbidden,
     }
 
 
@@ -346,10 +356,20 @@ def sft_from_doc(doc: dict) -> Sft:
     forbidden_doc = _need(doc, "forbidden", "sft")
     if not isinstance(forbidden_doc, list):
         raise DocumentError("sft.forbidden: must be a list of patterns")
-    forbidden = [pattern_from_doc(group, {"values": v})
-                 for v in forbidden_doc]
+    steps = {(EPSILON,)} | {(EPSILON, w) for w in window if len(w) == 1}
+    banned, pairs = [], []
+    for v in forbidden_doc:
+        values = _values_from_doc(group, {"values": v}, "pattern")
+        support = tuple(sorted(values, key=word_key))
+        if support not in steps:
+            raise DocumentError(f"sft: forbidden support {list(support)} is "
+                                "not one step inside the defining window")
+        if len(support) == 1:
+            banned.append(values[EPSILON])
+        else:
+            pairs.append((values[EPSILON], support[1][0], values[support[1]]))
     try:
-        return Sft(group, Alphabet(alphabet), forbidden, window)
+        return Sft(group, Alphabet(alphabet), window, banned, pairs)
     except ValueError as exc:
         raise DocumentError(f"sft: {exc}") from None
 

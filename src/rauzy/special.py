@@ -74,8 +74,8 @@ def special_symbol_sft(group: FreeGroup, s0: Letter) -> tuple[Sft, dict]:
             return symbols
         return {group.format_letter(t)}
 
-    forbidden = _neighbor_rules(group, symbols, follow)
-    sft = Sft(group, Alphabet(symbols), forbidden, group.ball(1))
+    pairs = _neighbor_rules(group, symbols, follow)
+    sft = Sft(group, Alphabet(symbols), group.ball(1), pairs=pairs)
     return sft, {a: int(a == MARK) for a in symbols}
 
 

@@ -19,6 +19,12 @@ Word = tuple  # tuple[Letter, ...], reduced
 
 EPSILON: Word = ()
 
+# Generator i prints as the i-th of these and its inverse as the capital;
+# "e" names the identity, so e and E are skipped and the rank is at most 25.
+_GENERATORS = "abcdfghijklmnopqrstuvwxyz"
+_LETTER_NAMES = tuple(c for g in _GENERATORS for c in (g, g.upper()))
+_LETTER_OF = {c: x for x, c in enumerate(_LETTER_NAMES)}
+
 
 def letter(index: int, sign: int = 1) -> Letter:
     """Letter for generator `index`, sign +1 (generator) or -1 (inverse)."""
@@ -127,10 +133,9 @@ class FreeGroup:
     rank: int
 
     def __post_init__(self):
-        if self.rank < 1:
-            raise ValueError(f"rank must be >= 1, got {self.rank}")
-        if self.rank > 26:
-            raise ValueError("letter serialization supports rank <= 26")
+        if not 1 <= self.rank <= len(_GENERATORS):
+            raise ValueError(f"rank must be from 1 to {len(_GENERATORS)}, "
+                             f"got {self.rank}")
 
     @property
     def letters(self) -> range:
@@ -167,14 +172,13 @@ class FreeGroup:
                     if (u := mul_letter(w, x)) in words] for w in words}
         return len(_closure((next(iter(words)),), succ)) == len(words)
 
-    # -- string format: 'a'..'z' for generators, 'A'..'Z' for inverses,
-    #    "e" for the empty word.
+    # -- string format: 'a'..'z' without 'e' for generators, 'A'..'Z'
+    #    without 'E' for inverses, "e" for the empty word.
 
     def format_letter(self, x: Letter) -> str:
-        i = letter_index(x)
-        if not 0 <= i < self.rank:
+        if not 0 <= x < 2 * self.rank:
             raise ValueError(f"letter {x} out of range for rank {self.rank}")
-        return chr((65 if x & 1 else 97) + i)
+        return _LETTER_NAMES[x]
 
     def format_word(self, w: Word) -> str:
         if not w:
@@ -182,19 +186,16 @@ class FreeGroup:
         return "".join(self.format_letter(x) for x in w)
 
     def parse_letter(self, c: str) -> Letter:
-        if not (len(c) == 1 and c.isascii() and c.isalpha()):
+        x = _LETTER_OF.get(c)
+        if x is None:
             raise ValueError(f"invalid letter {c!r}")
-        x = 2 * (ord(c.lower()) - 97) + c.isupper()
-        if letter_index(x) >= self.rank:
+        if x >= 2 * self.rank:
             raise ValueError(f"letter {c!r} out of range for rank {self.rank}")
         return x
 
     def parse_word(self, s: str) -> Word:
-        """Parse a letter string; reduces the result.
-
-        The bare string "e" is the identity.  For rank >= 5 this shadows the
-        one-letter word in generator 4; ranks used in practice are <= 4.
-        """
+        """Parse a letter string; reduces the result.  The bare string "e"
+        is the identity."""
         if s in ("", "e"):
             return EPSILON
         return reduce_word(self.parse_letter(c) for c in s)

@@ -1,4 +1,7 @@
+import hashlib
 import json
+import random
+import time
 from fractions import Fraction
 
 import pytest
@@ -7,6 +10,7 @@ from rauzy import cli, graphs, measured, selectors
 from rauzy.actions import FiniteAction
 from rauzy.cli import main
 from rauzy.serialize import (
+    DocumentError,
     action_from_doc,
     action_to_doc,
     graph_from_doc,
@@ -298,6 +302,34 @@ def test_special_symbol_bad_generator(capsys, gen):
     assert repr(gen) in report["witnesses"]["error"]
 
 
+def test_special_symbol_rank_five(tmp_path, capsys):
+    # generator 4 prints as "f": "e" stays the identity's name
+    code, report = run(capsys, "special-symbol", "--rank", "5",
+                       "--gen", "a", "--radius", "1")
+    assert code == 0
+    wit = report["witnesses"]
+    assert len(wit["x0"]) == len(wit["chi"]) == FreeGroup(5).ball_size(1)
+    assert wit["x0"]["e"] == "*" and wit["x0"]["f"] == "f"
+    assert len(set(wit["sft"]["alphabet"])) == 11
+    # the x0 window round-trips as a rank-5 document
+    wdoc = {"rank": 5, "values": wit["x0"]}
+    group, window = window_from_doc(wdoc)
+    assert window_to_doc(group, window) == wdoc
+    wpath = write(tmp_path, "x0.json", wdoc)
+    ppath = write(tmp_path, "mark.json", {"values": {"e": "*"}})
+    code, report = run(capsys, "return-set", wpath,
+                       "--pattern", ppath, "--depth", "1")
+    assert code == 0 and report["witnesses"]["returns"] == ["e", "a", "A"]
+
+
+@pytest.mark.parametrize("rank", [26, 27])
+def test_unsupported_rank_is_an_input_error(tmp_path, capsys, rank):
+    doc = {"rank": rank, "vertices": ["v"], "edges": []}
+    code, report = run(capsys, "validate", write(tmp_path, "g.json", doc))
+    assert code == 2 and report["verdict"] == "input error"
+    assert report["witnesses"]["error"].startswith("graph.rank: ")
+
+
 def test_search_condition_witness_small(capsys):
     code, report = run(capsys, "search-condition-witness",
                        "--max-vertices", "2")
@@ -331,6 +363,68 @@ def test_malformed_document(tmp_path, capsys):
     path2.write_text("{")
     code, report = run(capsys, "validate", str(path2))
     assert code == 2
+
+
+def test_weight_with_an_exponent_is_refused_at_once(tmp_path, capsys, cyc2):
+    doc = measured_to_doc(measured.integer_solution(cyc2))
+    doc["m"][0] = "1e10000000"
+    path = write(tmp_path, "exp.json", doc)
+    started = time.monotonic()
+    code, report = run(capsys, "validate", path)
+    assert time.monotonic() - started < 5
+    assert code == 2 and report["verdict"] == "input error"
+    assert report["witnesses"]["error"] == \
+        "graph.m[0]: rationals must be 'p/q' strings"
+
+
+@pytest.mark.parametrize("text", ["1e3", "1.5", "1_000", " 1", "1/ 2", "+-1",
+                                  "1/-2", "0x10", "inf", "nan", "\u0661", ""])
+def test_rationals_are_decimal_integers_or_quotients(cyc2, text):
+    doc = measured_to_doc(measured.integer_solution(cyc2))
+    doc["m"][0] = text
+    with pytest.raises(DocumentError, match=r"^graph\.m\[0\]: rationals"):
+        graph_from_doc(doc)
+
+
+def test_rational_forms_that_parse(star3):
+    mg = measured.integer_solution(star3)
+    doc = measured_to_doc(mg)
+    forms = (lambda x: f"+{x}", lambda x: f"{x}/1",
+             lambda x: f"{2 * int(x)}/2", int)
+    for form in forms:
+        doc2 = dict(doc, m=[form(x) for x in doc["m"]])
+        assert graph_from_doc(doc2) == mg
+    doc["m"][0] = "1/0"
+    with pytest.raises(DocumentError, match=r"^graph\.m\[0\]: "):
+        graph_from_doc(doc)
+
+
+# SHA-256 of the `sofic-witness` report on a recurrent selector of a seeded
+# 32-vertex Schreier graph (|E| = 128), recorded before SFT rules were held
+# as banned symbols and (a, s, b) triples; it must not move.
+SOFIC_128_SHA256 = (
+    "3bc5030914ca949e999bc92a46b8fd3e7248eeee0df4c3b02e250bae2fec217e")
+
+
+def test_sofic_witness_report_on_128_edges(tmp_path, capsys, group2):
+    rng = random.Random(32)
+    while True:
+        walks = []
+        for _ in range(group2.rank):
+            perm = list(range(32))
+            rng.shuffle(perm)
+            walks.append(perm)
+        g = FiniteAction(group2, [f"p{i}" for i in range(32)],
+                         walks).to_graph()
+        if graphs.is_minimal(g)[0]:
+            break
+    assert len(g.edges) == 128
+    cycle = selectors.find_cycle(g, 0)
+    sel = selectors.synthesize_recurrent(g, cycle)
+    path = write(tmp_path, "sel.json", selector_to_doc(sel, cycle))
+    assert main(["sofic-witness", path]) == 0
+    out = capsys.readouterr().out
+    assert hashlib.sha256(out.encode()).hexdigest() == SOFIC_128_SHA256
 
 
 def test_reports_are_byte_identical(tmp_path, capsys, cyc2_doc):
@@ -376,7 +470,8 @@ def test_document_roundtrips(tmp_path, cyc2, star3, group2):
     fdoc = sft_to_doc(sft)
     sft2 = sft_from_doc(fdoc)
     assert sft_to_doc(sft2) == fdoc
-    assert sft2.forbidden == sft.forbidden and sft2.window == sft.window
+    assert (sft2.banned, sft2.pairs, sft2.window) == \
+        (sft.banned, sft.pairs, sft.window)
 
 
 def test_dot_export(tmp_path, capsys, cyc2_doc):

@@ -1,6 +1,8 @@
 import hashlib
 import itertools
+import json
 import random
+import re
 
 import pytest
 from oracles import placements_oracle
@@ -26,7 +28,8 @@ from rauzy.patterns import (
 )
 from rauzy.serialize import DocumentError, sft_from_doc, sft_to_doc
 from rauzy.special import special_symbol_sft, x0_window
-from rauzy.words import EPSILON, FreeGroup, concat, inverse, reduce_word
+from rauzy.words import (EPSILON, FreeGroup, concat, inverse, reduce_word,
+                         word_key)
 
 
 def test_alphabet_invariants():
@@ -76,9 +79,7 @@ def test_enumerate_window_full_shift(group2):
 
 
 def test_enumerate_window_empty_shift(group2):
-    alph = Alphabet([0, 1])
-    forbidden = [Pattern({EPSILON: v}) for v in (0, 1)]
-    sft = Sft(group2, alph, forbidden, [EPSILON])
+    sft = Sft(group2, Alphabet([0, 1]), [EPSILON], banned=(0, 1))
     assert enumerate_window(sft, group2.ball(1)) == ()
 
 
@@ -102,9 +103,8 @@ def test_enumerate_window_cyc2_brute_force(group2, cyc2):
 
 def test_enumerate_window_is_antitone(group2, cyc2):
     sft = graphs.xg_sft(cyc2)
-    # adding forbidden patterns never adds configs
-    extra = Sft(group2, sft.alphabet,
-                list(sft.forbidden) + [Pattern({EPSILON: "u"})], sft.window)
+    # adding rules never adds configs
+    extra = Sft(group2, sft.alphabet, sft.window, {"u"}, sft.pairs)
     small = enumerate_window(extra, group2.ball(2))
     assert set(small) <= set(enumerate_window(sft, group2.ball(2)))
     # growing the domain never adds restrictions
@@ -226,7 +226,7 @@ def test_disjoint_union_language_is_tagged_union(group2, cyc2):
 def test_disjoint_union_with_empty_sft(group2, cyc2):
     x = graphs.xg_sft(cyc2)
     dead = Alphabet(["d"])
-    empty = Sft(group2, dead, [Pattern({EPSILON: "d"})], [EPSILON])
+    empty = Sft(group2, dead, [EPSILON], banned=["d"])
     u = disjoint_union(x, empty)
     ball = group2.ball(2)
     got = {c.items for c in enumerate_window(u, ball)}
@@ -285,26 +285,28 @@ def test_local_admissibility_matches_enumeration(group2, cyc2):
 
 def _random_one_step_sft(rng, group):
     """A random SFT over B_1 with 1-4 symbols: some symbols banned, one of
-    them possibly in no pair rule, and pair rules {eps: a, s: b} drawn
+    them possibly in no pair rule, and pair rules (a, s, b) drawn
     independently per letter, so the rule along s^-1 rarely mirrors the
     rule along s."""
     symbols = list(range(rng.randint(1, 4)))
     banned = [a for a in symbols if rng.random() < 0.3]
     quiet = set(banned[:1]) if rng.random() < 0.5 else set()
     ruled = [a for a in symbols if a not in quiet]
-    forbidden = [Pattern({EPSILON: a}) for a in banned]
-    forbidden += [Pattern({EPSILON: a, (s,): b}) for s in group.letters
-                  for a in ruled for b in ruled if rng.random() < 0.35]
-    return Sft(group, Alphabet(symbols), forbidden, group.ball(1))
+    pairs = [(a, s, b) for s in group.letters
+             for a in ruled for b in ruled if rng.random() < 0.35]
+    return Sft(group, Alphabet(symbols), group.ball(1), banned, pairs)
 
 
 def _admissibility_oracle(group, sft, domain):
-    """A test of colorings of `domain`: no forbidden pattern matches at a
+    """A test of colorings of `domain`: no forbidden pattern, {eps: a} for
+    a banned symbol or {eps: a, s: b} for a pair rule, matches at a
     placement of its support, the placements coming from the brute-force
     placement oracle."""
+    forbidden = [Pattern({EPSILON: a}) for a in sft.banned]
+    forbidden += [Pattern({EPSILON: a, (s,): b}) for a, s, b in sft.pairs]
     placements = {}
     spots = []
-    for p in sft.forbidden:
+    for p in forbidden:
         if p.support not in placements:
             placements[p.support] = placements_oracle(group, domain, p.support)
         values = tuple(v for _, v in p.items)
@@ -348,9 +350,7 @@ def test_one_step_sfts_match_placement_oracle():
 
 def test_sft_window_invariants(group2):
     with pytest.raises(ValueError):
-        Sft(group2, Alphabet([0]), [], [(0,)])   # window without identity
-    with pytest.raises(ValueError):
-        Sft(group2, Alphabet([0]), [Pattern({(0,): 0})], [EPSILON])
+        Sft(group2, Alphabet([0]), [(0,)])   # window without identity
 
 
 WIDE_SUPPORTS = {"e,a,b": ["e", "a", "b"], "e,ab": ["e", "ab"], "a": ["a"]}
@@ -360,9 +360,6 @@ WIDE_SUPPORTS = {"e,a,b": ["e", "a", "b"], "e,ab": ["e", "ab"], "a": ["a"]}
                          ids=WIDE_SUPPORTS.keys())
 def test_sft_forbids_only_one_step_supports(group2, support):
     window = list(group2.ball(2))
-    pattern = Pattern({group2.parse_word(w): 0 for w in support})
-    with pytest.raises(ValueError, match="forbidden support"):
-        Sft(group2, Alphabet([0, 1]), [pattern], window)
     doc = {"rank": 2, "alphabet": [0, 1],
            "window": [group2.format_word(w) for w in window],
            "forbidden": [{w: 0 for w in support}]}
@@ -370,6 +367,56 @@ def test_sft_forbids_only_one_step_supports(group2, support):
         sft_from_doc(doc)
     doc["forbidden"] = [{"e": 0, "b": 1}]
     assert sft_to_doc(sft_from_doc(doc)) == doc
+
+
+def test_sft_document_pair_letter_outside_window():
+    doc = {"rank": 2, "alphabet": [0, 1], "window": ["e", "a", "A", "ab"],
+           "forbidden": [{"e": 0, "a": 1}, {"e": 0, "b": 1}]}
+    with pytest.raises(DocumentError, match=re.escape(
+            "sft: forbidden support [(), (2,)] is not one step inside the "
+            "defining window")):
+        sft_from_doc(doc)
+
+
+def _documented_listing(group, banned, pairs):
+    """The forbidden list in its documented order: by repr(a), the ban
+    {e: a} before a's pairs, and those by letter, then by repr(b)."""
+    keyed = [((repr(a),), {"e": a}) for a in banned]
+    keyed += [((repr(a), s, repr(b)), {"e": a, group.format_letter(s): b})
+              for a, s, b in pairs]
+    return [values for _, values in sorted(keyed, key=lambda kv: kv[0])]
+
+
+def test_sft_documents_round_trip_exactly():
+    """Seeded one-step SFTs over mixed string and integer symbols: pair
+    rules that name banned symbols, a symbol in no rule, and windows that
+    miss letters or reach past B_1."""
+    rng = random.Random(909)
+    pool = [0, 1, 9, 10, "10", "x", "y", "e"]
+    for rank in (1, 2, 3):
+        group = FreeGroup(rank)
+        for _ in range(20):
+            symbols = rng.sample(pool, rng.randint(2, 6))
+            ruled = symbols[:-1]          # symbols[-1] is in no rule
+            banned = {a for a in ruled if rng.random() < 0.4}
+            wide = group.ball(rng.randint(1, 3))
+            window = [w for w in wide if not w or rng.random() < 0.7]
+            letters = [w[0] for w in window if len(w) == 1]
+            pairs = {(a, s, b) for s in letters for a in ruled
+                     for b in ruled if rng.random() < 0.3}
+            if banned and letters:
+                pairs.add((min(banned, key=repr), letters[0], ruled[0]))
+            sft = Sft(group, Alphabet(symbols), window, banned, pairs)
+            doc = sft_to_doc(sft)
+            listing = _documented_listing(group, banned, pairs)
+            assert json.dumps(doc["forbidden"]) == json.dumps(listing)
+            assert doc["window"] == [group.format_word(w) for w in
+                                     sorted(set(window), key=word_key)]
+            text = json.dumps(doc)
+            again = sft_from_doc(json.loads(text))
+            assert (again.banned, again.pairs, again.window) == \
+                (sft.banned, sft.pairs, sft.window)
+            assert json.dumps(sft_to_doc(again)) == text
 
 
 # SHA-256 of _nearest_neighbour_records(): the SFT documents of the four
@@ -411,7 +458,7 @@ def _nearest_neighbour_records():
             checked.append((sft, x0_window(group, s0, 2)))
 
     x, y = graphs.xg_sft(minimal[1]), graphs.xg_sft(minimal[2])
-    dead = Sft(group2, Alphabet(["d"]), [Pattern({EPSILON: "d"})], [EPSILON])
+    dead = Sft(group2, Alphabet(["d"]), [EPSILON], banned=["d"])
     marker, _ = special_symbol_sft(group2, 0)
     for left, right in ((x, y), (y, x), (x, dead),
                         (full_shift(group2, Alphabet(["z"])), x), (marker, x)):

@@ -139,6 +139,25 @@ def test_parse_and_format_roundtrip():
             group.parse_letter(text)
 
 
+def test_letter_names_skip_the_identity():
+    assert "".join(map(FreeGroup(4).format_letter, range(8))) == "aAbBcCdD"
+    group = FreeGroup(25)
+    names = [group.format_letter(x) for x in group.letters]
+    assert names[8:10] == ["f", "F"] and names[-2:] == ["z", "Z"]
+    assert len(set(names)) == 50 and not {"e", "E"} & set(names)
+    for x, c in enumerate(names):
+        assert group.parse_letter(c) == x
+    for w in FreeGroup(5).ball(2):
+        assert FreeGroup(5).parse_word(FreeGroup(5).format_word(w)) == w
+    for c in "eE":
+        with pytest.raises(ValueError, match="invalid letter"):
+            group.parse_letter(c)
+    with pytest.raises(ValueError, match="out of range"):
+        FreeGroup(4).parse_letter("f")
+    with pytest.raises(ValueError, match="from 1 to 25"):
+        FreeGroup(26)
+
+
 def test_rank_bounds():
     with pytest.raises(ValueError):
         FreeGroup(0)
