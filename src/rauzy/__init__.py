@@ -18,6 +18,7 @@ from .words import FreeGroup
 from .patterns import (
     Alphabet,
     CapExceededError,
+    Domain,
     Pattern,
     Sft,
     WindowConfig,

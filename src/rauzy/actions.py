@@ -21,7 +21,7 @@ from typing import Hashable, Sequence
 
 from .graphs import RauzyGraph, _UnionFind, is_connected, require_valid
 from .measured import MeasuredRauzyGraph, validate_balance
-from .patterns import WindowConfig
+from .patterns import WindowConfig, ball_domain
 from .words import FreeGroup, Letter, _closure, _walk_ball
 
 
@@ -264,7 +264,8 @@ def periodic_window(act: FiniteAction, base: int, radius: int) -> WindowConfig:
     point reached by walking the letters of g from the base (the shift
     convention: the g-value is the inverse translate's class)."""
     state = _walk_ball(act.group.ball(radius), base, act.moves)
-    return WindowConfig((w, act.points[p]) for w, p in state.items())
+    return WindowConfig._of(ball_domain(act.group, radius),
+                            tuple(act.points[p] for p in state.values()))
 
 
 @dataclass(frozen=True)
@@ -315,10 +316,10 @@ def realize_minimal_neighborhood(mg: MeasuredRauzyGraph
     vid = {v: i for i, v in enumerate(g.vertices)}
     vertices_seen = set()
     edges_seen = set()
-    ball_inner = act.group.ball(radius - 1)
     idx = {p: i for i, p in enumerate(act.points)}
-    for w in ball_inner:
-        p = idx[window[w]]
+    # B_{radius-1} is a prefix of B_radius in canonical order
+    for point in window.values[:act.group.ball_size(radius - 1)]:
+        p = idx[point]
         v = vid[pi[act.points[p]]]
         vertices_seen.add(v)
         for s in act.group.letters:

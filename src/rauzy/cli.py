@@ -59,7 +59,7 @@ def _read_doc(path: str) -> tuple[dict, str]:
     digest = hashlib.sha256(raw).hexdigest()
     try:
         doc = json.loads(raw)
-    except json.JSONDecodeError as exc:
+    except ValueError as exc:   # also an integer past the int-string limit
         raise DocumentError(f"{path}: invalid JSON ({exc})") from None
     return doc, digest
 
@@ -273,8 +273,15 @@ def _spec_map(doc, key, act):
     return out
 
 
+def _rank_group(rank: int) -> FreeGroup:
+    try:
+        return FreeGroup(rank)
+    except ValueError as exc:
+        raise DocumentError(f"--rank: {exc}") from None
+
+
 def cmd_special_symbol(args):
-    group = FreeGroup(args.rank)
+    group = _rank_group(args.rank)
     s0 = group.parse_letter(args.gen)
     if s0 & 1:
         raise DocumentError("--gen: must be a positive generator")
@@ -304,7 +311,7 @@ def cmd_return_set(args):
 
 
 def cmd_search_condition_witness(args):
-    group = FreeGroup(args.rank)
+    group = _rank_group(args.rank)
     found = graphs.find_condition_witnesses(group, args.max_vertices)
     wit = {}
     for key, g in found.items():

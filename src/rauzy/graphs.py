@@ -355,9 +355,9 @@ def pattern_graph(group: FreeGroup, alphabet: Alphabet,
                   F: Sequence[Word]) -> RauzyGraph:
     """The Rauzy graph on all F-patterns: p1 -s-> p2 iff p1 and s.p2 are
     compatible."""
-    F = _shape(F)
-    pats = [Pattern(zip(F, vals))
-            for vals in product(alphabet.symbols, repeat=len(F))]
+    shape = _shape(tuple(F))
+    pats = [Pattern._of(shape, vals)
+            for vals in product(alphabet.symbols, repeat=len(shape))]
     triples = []
     for s in group.letters:
         sw = (s,)
@@ -378,7 +378,7 @@ def graph_of_window(group: FreeGroup, lang: WindowLanguage,
     Raises ValueError if the window data is too small to give every
     (vertex, letter) an outgoing edge.
     """
-    F = _shape(F)
+    F = _shape(tuple(F)).words
     if tuple(lang.support) != F:
         raise ValueError("language support differs from F")
     if not lang.patterns:

@@ -12,6 +12,8 @@ finite scale.  Global admissibility is never claimed.
 
 from __future__ import annotations
 
+from functools import lru_cache
+from itertools import product
 from typing import Iterable, Mapping, Sequence
 
 from .words import (EPSILON, FreeGroup, Word, concat, inverse, mul_letter,
@@ -61,45 +63,110 @@ class Alphabet:
         return f"Alphabet({list(self.symbols)!r})"
 
 
+class Domain:
+    """Distinct words in canonical ball order, with their hash and a
+    word -> position index that is built on first use.
+
+    The words are trusted to be in canonical order; ``Domain.of`` sorts.
+    One Domain is shared by every config of an enumeration.
+    """
+
+    __slots__ = ("words", "_hash", "_index")
+
+    def __init__(self, words: Sequence[Word]):
+        self.words = tuple(words)
+        self._hash = hash(self.words)
+        self._index = None
+
+    @classmethod
+    def of(cls, words: Iterable[Word]) -> "Domain":
+        return cls(sorted(set(words), key=word_key))
+
+    @property
+    def index(self) -> dict:
+        if self._index is None:
+            self._index = {w: i for i, w in enumerate(self.words)}
+        return self._index
+
+    def __len__(self) -> int:
+        return len(self.words)
+
+    def __iter__(self):
+        return iter(self.words)
+
+    def __eq__(self, other):
+        return self is other or (isinstance(other, Domain)
+                                 and self.words == other.words)
+
+    def __hash__(self):
+        return self._hash
+
+    def __repr__(self):
+        return f"Domain({list(self.words)!r})"
+
+
+@lru_cache(maxsize=8)
+def ball_domain(group: FreeGroup, radius: int) -> Domain:
+    """The Domain of B_radius, shared by the windows read off one ball."""
+    return Domain(group.ball(radius))
+
+
 class Pattern:
     """A finite partial coloring: words -> symbols, total on its support.
 
-    Stored as a canonically sorted item tuple so patterns hash and compare
-    by value.
+    Stored as a Domain and the tuple of values at its words, so patterns
+    with equal supports share one Domain and compare by value.
     """
 
-    __slots__ = ("items", "_map", "_hash")
+    __slots__ = ("domain", "values", "_hash")
 
     def __init__(self, values: Mapping | Iterable[tuple]):
         mapping = dict(values)
-        items = tuple(sorted(mapping.items(), key=lambda kv: word_key(kv[0])))
-        self.items = items
-        self._map = mapping
-        self._hash = hash(items)
+        self.domain = Domain.of(mapping)
+        self.values = tuple(mapping[w] for w in self.domain.words)
+        self._hash = None
+
+    @classmethod
+    def _of(cls, domain: Domain, values: tuple):
+        """Trusted constructor: `values` lists the symbols at the domain's
+        words, in its order."""
+        self = object.__new__(cls)
+        self.domain = domain
+        self.values = values
+        self._hash = None
+        return self
+
+    @property
+    def items(self) -> tuple:
+        return tuple(zip(self.domain.words, self.values))
 
     @property
     def support(self) -> tuple:
-        return tuple(w for w, _ in self.items)
+        return self.domain.words
 
     def __getitem__(self, w: Word):
-        return self._map[w]
+        return self.values[self.domain.index[w]]
 
     def get(self, w: Word, default=None):
-        return self._map.get(w, default)
+        i = self.domain.index.get(w)
+        return default if i is None else self.values[i]
 
     def __contains__(self, w: Word) -> bool:
-        return w in self._map
+        return w in self.domain.index
 
     def __len__(self) -> int:
-        return len(self.items)
+        return len(self.values)
 
     def __iter__(self):
         return iter(self.items)
 
     def __eq__(self, other):
-        return isinstance(other, Pattern) and self.items == other.items
+        return (isinstance(other, Pattern) and self.values == other.values
+                and self.domain == other.domain)
 
     def __hash__(self):
+        if self._hash is None:
+            self._hash = hash(self.items)
         return self._hash
 
     def __repr__(self):
@@ -110,10 +177,6 @@ class Pattern:
 class WindowConfig(Pattern):
     """A coloring of a finite window of the group (same data as a Pattern,
     read as an observed configuration rather than a constraint)."""
-
-    @property
-    def domain(self) -> tuple:
-        return self.support
 
 
 class WindowLanguage:
@@ -132,7 +195,8 @@ class WindowLanguage:
         self.sources = tuple(sources)
 
     def sorted_patterns(self) -> tuple:
-        return tuple(sorted(self.patterns, key=lambda p: tuple(repr(v) for _, v in p.items)))
+        return tuple(sorted(self.patterns,
+                            key=lambda p: tuple(map(repr, p.values))))
 
     def __len__(self):
         return len(self.patterns)
@@ -184,20 +248,31 @@ def compatible(p1: Pattern, p2: Pattern) -> bool:
     """Whether two patterns agree on the intersection of their supports."""
     if len(p2) < len(p1):
         p1, p2 = p2, p1
-    for w, v in p1.items:
+    for w, v in zip(p1.domain, p1.values):
         u = p2.get(w, v)
         if u != v:
             return False
     return True
 
 
-def _shape(F: Sequence[Word]) -> tuple:
-    """The shape F as a sorted tuple of distinct words containing the
-    identity."""
-    F = tuple(sorted(set(F), key=word_key))
-    if EPSILON not in F:
+@lru_cache(maxsize=32)
+def _shape(F: tuple) -> Domain:
+    """The shape F as a Domain of distinct words containing the identity,
+    one Domain per F, shared by the patterns read with that shape."""
+    shape = Domain.of(F)
+    if EPSILON not in shape.words:
         raise ValueError("F must contain the identity")
-    return F
+    return shape
+
+
+@lru_cache(maxsize=32)
+def _pattern_shape(group: FreeGroup, F: tuple) -> Domain:
+    """The shape F of iota and window_j, checked once per F: it contains
+    the identity and F^-1 is connected in the Cayley graph."""
+    shape = _shape(F)
+    if not group.is_connected([inverse(f) for f in shape]):
+        raise ValueError("F^-1 must be connected in the Cayley graph")
+    return shape
 
 
 def _placements(domain: Sequence[Word], F: Sequence[Word]) -> list:
@@ -215,11 +290,21 @@ def _placements(domain: Sequence[Word], F: Sequence[Word]) -> list:
     return out
 
 
+@lru_cache(maxsize=32)
+def _placement_gathers(domain: Domain, F: tuple) -> tuple:
+    """(shape, gathers) for a sorted F: F as a Domain, and each placement g
+    of F inside the domain with the positions of g*F in it."""
+    index = domain.index
+    return Domain(F), tuple((g, tuple(index[x] for x in placed))
+                            for g, placed in _placements(domain.words, F))
+
+
 def _patterns_at(config: WindowConfig, F: Sequence[Word]) -> dict:
-    """{g: the F-pattern f -> config(g*f)} over every placement of F inside
-    the config's domain."""
-    return {g: Pattern(zip(F, (config[x] for x in placed)))
-            for g, placed in _placements(config.domain, F)}
+    """{g: the F-pattern f -> config(g*f)} over every placement of the
+    sorted F inside the config's domain."""
+    shape, gathers = _placement_gathers(config.domain, tuple(F))
+    at = config.values.__getitem__
+    return {g: Pattern._of(shape, tuple(map(at, idx))) for g, idx in gathers}
 
 
 def _neighbor_rules(group: FreeGroup, symbols: Sequence, follow) -> list:
@@ -252,18 +337,21 @@ def enumerate_window(sft: Sft, domain: Iterable[Word],
     subtree of the Cayley tree, so a word w meets the words colored before
     it only at its parent w[:-1], and its candidates are follow[parent's
     symbol, w[-1]]: one step per search-tree node, not |A| tuple checks.
-    Raises CapExceededError if more than `cap` configs would be produced.
+    Every config shares one Domain.  Raises CapExceededError if more than
+    `cap` configs would be produced.
     """
-    order = sorted(set(domain), key=word_key)
+    dom = Domain.of(domain)
+    order = dom.words
     if not order or order[0] != EPSILON:
         raise ValueError("domain must contain the identity")
     group = sft.group
     if not group.is_connected(order):
         raise ValueError("domain must be connected in the Cayley graph")
-    pos = {w: i for i, w in enumerate(order)}
+    pos = dom.index
     parent = [pos[w[:-1]] for w in order]
     n = len(order)
     first, follow = _follow_table(sft)
+    make = WindowConfig._of
     out = []
     assignment = [None] * n
 
@@ -272,7 +360,7 @@ def enumerate_window(sft: Sft, domain: Iterable[Word],
             if len(out) >= cap:
                 raise CapExceededError(
                     f"window enumeration cap exceeded ({cap} configs)")
-            out.append(WindowConfig(zip(order, assignment)))
+            out.append(make(dom, tuple(assignment)))
             return
         for sym in follow[assignment[parent[k]], order[k][-1]] if k else first:
             assignment[k] = sym
@@ -282,15 +370,49 @@ def enumerate_window(sft: Sft, domain: Iterable[Word],
     return tuple(out)
 
 
+@lru_cache(maxsize=32)
+def _neighbor_edges(group: FreeGroup, domain: Domain) -> tuple:
+    """(i, s, k) for each pair of domain words with word i * s = word k."""
+    index = domain.index
+    return tuple((i, s, k) for i, w in enumerate(domain.words)
+                 for s in group.letters
+                 if (k := index.get(mul_letter(w, s))) is not None)
+
+
 def is_locally_admissible(sft: Sft, config: WindowConfig) -> bool:
     """Whether no banned symbol or pair occurs inside the config, whose
     domain may be disconnected: each symbol is in first, and each symbol at
     a neighbour w*s of w is in follow[config(w), s]."""
     first, follow = _follow_table(sft)
-    return (all(v in first for _, v in config.items)
-            and all(config[ws] in follow[v, s] for w, v in config.items
-                    for s in sft.group.letters
-                    if (ws := mul_letter(w, s)) in config))
+    values = config.values
+    return (all(v in first for v in values)
+            and all(values[k] in follow[values[i], s] for i, s, k in
+                    _neighbor_edges(sft.group, config.domain)))
+
+
+@lru_cache(maxsize=32)
+def _iota_gathers(group: FreeGroup, domain: Domain, F: tuple) -> tuple:
+    """(shape, out, take, again, at) for flattening configs on `domain`.
+
+    Reading the F-patterns in domain order, value n is the pattern at
+    domain word n // |F| evaluated at shape word n % |F|.  The flat config
+    lives on `out` = domain * F; its value k is value take[k], the first
+    one to land on out word k, and every later value again[j] lands on out
+    word at[j] and must agree with it.
+    """
+    shape = _pattern_shape(group, F)
+    out = Domain.of(concat(g, f) for g in domain for f in shape)
+    pos = out.index
+    take = [None] * len(out)
+    again, at = [], []
+    for n, (g, f) in enumerate(product(domain, shape)):
+        k = pos[concat(g, f)]
+        if take[k] is None:
+            take[k] = n
+        else:
+            again.append(n)
+            at.append(k)
+    return shape, out, tuple(take), tuple(again), tuple(at)
 
 
 def iota(group: FreeGroup, F: Sequence[Word], config: WindowConfig) -> WindowConfig:
@@ -301,21 +423,36 @@ def iota(group: FreeGroup, F: Sequence[Word], config: WindowConfig) -> WindowCon
     holds exactly for admissible configs of the pattern graph's SFT; a
     conflict raises ValueError.
     """
-    F = _shape(F)
-    if not group.is_connected([inverse(f) for f in F]):
-        raise ValueError("F^-1 must be connected in the Cayley graph")
-    values: dict = {}
-    for g, pat in config.items:
+    shape, out, take, again, at = _iota_gathers(group, config.domain,
+                                                tuple(F))
+    flat = []
+    for pat in config.values:
         if not isinstance(pat, Pattern):
             raise TypeError("iota needs a config over pattern symbols")
-        for f in F:
-            h = concat(g, f)
-            v = pat[f]
-            old = values.setdefault(h, v)
-            if old != v:
-                raise ValueError(
-                    f"incompatible overlaps at {h}: {old!r} vs {v!r}")
-    return WindowConfig(values)
+        flat += (pat.values if pat.domain == shape
+                 else [pat[f] for f in shape])
+    values = tuple(map(flat.__getitem__, take))
+    for n, k in zip(again, at):
+        if flat[n] != values[k]:
+            raise ValueError(f"incompatible overlaps at {out.words[k]}: "
+                             f"{values[k]!r} vs {flat[n]!r}")
+    return WindowConfig._of(out, values)
+
+
+@lru_cache(maxsize=32)
+def _window_j_gathers(group: FreeGroup, domain: Domain, F: tuple,
+                      targets: tuple) -> tuple:
+    """(shape, out, gathers): the sorted targets as a Domain and, for each,
+    the positions of target * F in `domain`."""
+    shape = _pattern_shape(group, F)
+    out = Domain.of(targets)
+    index = domain.index
+    missing = sorted({concat(g, f) for g in out for f in shape} - index.keys(),
+                     key=word_key)
+    if missing:
+        raise ValueError(f"config domain missing words: {missing}")
+    return shape, out, tuple(tuple(index[concat(g, f)] for f in shape)
+                             for g in out)
 
 
 def window_j(group: FreeGroup, F: Sequence[Word], config: WindowConfig,
@@ -326,19 +463,11 @@ def window_j(group: FreeGroup, F: Sequence[Word], config: WindowConfig,
     Inverse of `iota` where both are defined.  Raises ValueError naming the
     missing words if the config does not cover domain * F.
     """
-    F = _shape(F)
-    if not group.is_connected([inverse(f) for f in F]):
-        raise ValueError("F^-1 must be connected in the Cayley graph")
-    domain = sorted(set(domain), key=word_key)
-    missing = sorted(
-        {concat(g, f) for g in domain for f in F} - set(config.domain),
-        key=word_key)
-    if missing:
-        raise ValueError(f"config domain missing words: {missing}")
-    values = {}
-    for g in domain:
-        values[g] = Pattern({f: config[concat(g, f)] for f in F})
-    return WindowConfig(values)
+    shape, out, gathers = _window_j_gathers(group, config.domain, tuple(F),
+                                            tuple(domain))
+    at = config.values.__getitem__
+    return WindowConfig._of(out, tuple(Pattern._of(shape, tuple(map(at, idx)))
+                                       for idx in gathers))
 
 
 def tag_symbol(tag: str, symbol) -> str:

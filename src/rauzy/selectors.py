@@ -25,7 +25,8 @@ from .graphs import (
     is_minimal,
     require_valid,
 )
-from .patterns import Alphabet, Sft, WindowConfig, _neighbor_rules
+from .patterns import (Alphabet, Sft, WindowConfig, _neighbor_rules,
+                       ball_domain)
 from .words import (EPSILON, Letter, Word, _closure, _walk_ball, inverse,
                     inverse_letter)
 
@@ -116,12 +117,19 @@ def _walk_edges(sel: EdgeSelector, radius: int) -> dict:
                       sel.t1 + (sel.t0,))
 
 
+def _edge_window(sel: EdgeSelector, radius: int, values) -> WindowConfig:
+    """The window on B_radius with values[e] at each word whose walk ends
+    at edge e (e = len(t1) at the identity)."""
+    return WindowConfig._of(ball_domain(sel.graph.group, radius),
+                            tuple(values[e] for e in
+                                  _walk_edges(sel, radius).values()))
+
+
 def x_t_window(sel: EdgeSelector, radius: int) -> WindowConfig:
     """The window of x_T on B_radius, over the vertex alphabet."""
     g = sel.graph
     values = [g.vertices[e.target] for e in g.edges] + [g.vertices[sel.v0]]
-    return WindowConfig((w, values[e])
-                        for w, e in _walk_edges(sel, radius).items())
+    return _edge_window(sel, radius, values)
 
 
 STAR = "*"
@@ -135,8 +143,7 @@ def z0_window(sel: EdgeSelector, radius: int) -> WindowConfig:
     """The window of the distinguished point z0 of the sofic witness:
     star at the identity, T0(s) at s, then T1 along reduced words."""
     values = [edge_symbol(i) for i in range(len(sel.t1))] + [STAR]
-    return WindowConfig((w, values[e])
-                        for w, e in _walk_edges(sel, radius).items())
+    return _edge_window(sel, radius, values)
 
 
 def _moves(sel: EdgeSelector) -> list[list[int]]:
@@ -166,7 +173,8 @@ class SoficWitness:
     range_edges: frozenset
 
     def project(self, config: WindowConfig) -> WindowConfig:
-        return WindowConfig({w: self.phi[v] for w, v in config.items})
+        phi = self.phi.__getitem__
+        return WindowConfig._of(config.domain, tuple(map(phi, config.values)))
 
 
 def sofic_witness(sel: EdgeSelector) -> SoficWitness:

@@ -12,13 +12,14 @@ from __future__ import annotations
 
 import re
 from fractions import Fraction
+from functools import lru_cache
 from operator import itemgetter
 from typing import Any
 
 from .actions import FiniteAction
 from .graphs import Edge, RauzyGraph
 from .measured import MeasuredRauzyGraph
-from .patterns import Alphabet, Pattern, Sft, WindowConfig
+from .patterns import Alphabet, Domain, Pattern, Sft, WindowConfig
 from .selectors import EdgeSelector
 from .words import EPSILON, FreeGroup, word_key
 
@@ -281,12 +282,21 @@ def _symbol(v, where: str):
     raise DocumentError(f"{where}: symbol {v!r} is not a string or an integer")
 
 
+@lru_cache(maxsize=8)
+def _word_names(group: FreeGroup, domain: Domain) -> tuple:
+    """The letter strings of a domain's words, formatted once per domain."""
+    return tuple(map(group.format_word, domain))
+
+
 def window_to_doc(group: FreeGroup, config: WindowConfig,
                   alphabet: Alphabet | None = None) -> dict:
+    # a symbol passes _symbol or not whatever word it sits at, so each
+    # distinct value is checked once
+    for v in dict.fromkeys(config.values):
+        _symbol(v, "window")
     doc = {
         "rank": group.rank,
-        "values": {group.format_word(w): _symbol(v, "window")
-                   for w, v in config.items},
+        "values": dict(zip(_word_names(group, config.domain), config.values)),
     }
     if alphabet is not None:
         doc["alphabet"] = [_symbol(a, "window.alphabet")
@@ -357,13 +367,18 @@ def sft_from_doc(doc: dict) -> Sft:
     if not isinstance(forbidden_doc, list):
         raise DocumentError("sft.forbidden: must be a list of patterns")
     steps = {(EPSILON,)} | {(EPSILON, w) for w in window if len(w) == 1}
+    symbols = set(alphabet)
     banned, pairs = [], []
-    for v in forbidden_doc:
+    for i, v in enumerate(forbidden_doc):
         values = _values_from_doc(group, {"values": v}, "pattern")
         support = tuple(sorted(values, key=word_key))
         if support not in steps:
             raise DocumentError(f"sft: forbidden support {list(support)} is "
                                 "not one step inside the defining window")
+        for a in values.values():
+            if a not in symbols:
+                raise DocumentError(f"sft.forbidden[{i}]: symbol {a!r} is "
+                                    "not in the alphabet")
         if len(support) == 1:
             banned.append(values[EPSILON])
         else:

@@ -12,7 +12,8 @@ Also here: finite return sets of a window configuration into a pattern.
 
 from __future__ import annotations
 
-from .patterns import Alphabet, Pattern, Sft, WindowConfig, _neighbor_rules
+from .patterns import (Alphabet, Pattern, Sft, WindowConfig, _neighbor_rules,
+                       ball_domain)
 from .words import (
     FreeGroup,
     Letter,
@@ -30,11 +31,9 @@ def chi_window(group: FreeGroup, s0: Letter, radius: int) -> WindowConfig:
     of s0)."""
     if letter_sign(s0) != 1:
         raise ValueError("the subgroup generator must be a positive letter")
-    values = {}
-    for w in group.ball(radius):
-        on_axis = all(x >> 1 == s0 >> 1 for x in w)
-        values[w] = 1 if on_axis else 0
-    return WindowConfig(values)
+    return WindowConfig._of(ball_domain(group, radius), tuple(
+        1 if all(x >> 1 == s0 >> 1 for x in w) else 0
+        for w in group.ball(radius)))
 
 
 def x0_window(group: FreeGroup, s0: Letter, radius: int) -> WindowConfig:
@@ -42,13 +41,10 @@ def x0_window(group: FreeGroup, s0: Letter, radius: int) -> WindowConfig:
     last letter everywhere else."""
     if letter_sign(s0) != 1:
         raise ValueError("the subgroup generator must be a positive letter")
-    values = {}
-    for w in group.ball(radius):
-        if all(x >> 1 == s0 >> 1 for x in w):
-            values[w] = MARK
-        else:
-            values[w] = group.format_letter(w[-1])
-    return WindowConfig(values)
+    return WindowConfig._of(ball_domain(group, radius), tuple(
+        MARK if all(x >> 1 == s0 >> 1 for x in w)
+        else group.format_letter(w[-1])
+        for w in group.ball(radius)))
 
 
 def special_symbol_sft(group: FreeGroup, s0: Letter) -> tuple[Sft, dict]:
@@ -80,7 +76,8 @@ def special_symbol_sft(group: FreeGroup, s0: Letter) -> tuple[Sft, dict]:
 
 
 def project_config(config: WindowConfig, proj: dict) -> WindowConfig:
-    return WindowConfig({w: proj[v] for w, v in config.items})
+    return WindowConfig._of(config.domain,
+                            tuple(map(proj.__getitem__, config.values)))
 
 
 def return_set(group: FreeGroup, config: WindowConfig, u: Pattern,

@@ -1,3 +1,4 @@
+import hashlib
 import random
 from fractions import Fraction
 
@@ -223,3 +224,23 @@ def test_realize_random_batch():
         assert report.complete
         assert len(actions.orbits(act)) == 1
         assert len(act) == sum(mg.mu)
+
+
+# SHA-256 of the window and occurrence report that
+# realize_minimal_neighborhood gives on three_star at 12 points, recorded
+# before window configs became value tuples over a shared Domain.
+REALIZE_THREE_STAR_12_SHA256 = (
+    "f4052ac0f9f8dca3cb0ac489fca976b27b85309333bf7816dddae173dbe6b3f1")
+
+
+def test_realize_window_is_pinned(star3):
+    mg = integer_solution(star3)
+    mg = MeasuredRauzyGraph(star3, tuple(3 * x for x in mg.mu),
+                            tuple(3 * x for x in mg.m))
+    act, window, report = actions.realize_minimal_neighborhood(mg)
+    assert len(act) == 12 and len(window) == 4373
+    record = (window.items, repr(window), report.radius,
+              sorted(report.vertices_seen), sorted(report.edges_seen),
+              report.missing_vertices, report.missing_edges, report.complete)
+    digest = hashlib.sha256(repr(record).encode()).hexdigest()
+    assert digest == REALIZE_THREE_STAR_12_SHA256

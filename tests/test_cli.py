@@ -93,6 +93,29 @@ def test_xg_window(tmp_path, capsys, cyc2_doc):
     assert report["witnesses"]["count"] == 2
 
 
+# SHA-256 of the `xg-window` reports on letter_flow at radius 4 and on
+# two_cycle at radius 5, recorded before window configs became value tuples
+# over a shared Domain; they must not move.
+XG_WINDOW_SHA256 = {
+    ("letter_flow", 4):
+        "d64b0e252b9e293552b35d3ac18bfc41916b2312d549b36b40d7deed89d87329",
+    ("two_cycle", 5):
+        "c2dec3b69ac24cbad271aecd49e07d53941d36cb6e7c0cce0f1c88600b2633fc",
+}
+
+
+@pytest.mark.parametrize("family, radius", sorted(XG_WINDOW_SHA256))
+def test_xg_window_reports_are_pinned(tmp_path, capsys, group2, family,
+                                      radius):
+    g = {"letter_flow": graphs.letter_flow_graph,
+         "two_cycle": graphs.two_cycle}[family](group2)
+    path = write(tmp_path, "g.json", graph_to_doc(g))
+    assert main(["xg-window", path, "--radius", str(radius)]) == 0
+    out = capsys.readouterr().out
+    assert hashlib.sha256(out.encode()).hexdigest() == \
+        XG_WINDOW_SHA256[family, radius]
+
+
 def test_cycle_and_selector_pipeline(tmp_path, capsys, cyc2_doc):
     path = write(tmp_path, "cyc2.json", cyc2_doc)
     code, report = run(capsys, "cycle", path, "--vertex", "u")
@@ -328,6 +351,28 @@ def test_unsupported_rank_is_an_input_error(tmp_path, capsys, rank):
     code, report = run(capsys, "validate", write(tmp_path, "g.json", doc))
     assert code == 2 and report["verdict"] == "input error"
     assert report["witnesses"]["error"].startswith("graph.rank: ")
+
+
+def test_oversized_json_integer_is_an_input_error(tmp_path, capsys, cyc2_doc):
+    # past Python's int-string limit json.loads raises a plain ValueError
+    doc = dict(cyc2_doc, mu={"u": "BIG", "v": 1})
+    path = tmp_path / "big.json"
+    path.write_text(json.dumps(doc).replace('"BIG"', "9" * 5000))
+    code, report = run(capsys, "validate", str(path))
+    assert code == 2 and report["verdict"] == "input error"
+    assert "invalid JSON" in report["witnesses"]["error"]
+
+
+@pytest.mark.parametrize("rank", [0, 26])
+@pytest.mark.parametrize("command", [
+    ["special-symbol", "--gen", "a", "--radius", "1"],
+    ["search-condition-witness", "--max-vertices", "1"]],
+    ids=["special-symbol", "search-condition-witness"])
+def test_rank_option_outside_range_is_an_input_error(capsys, command, rank):
+    code, report = run(capsys, *command, "--rank", str(rank))
+    assert code == 2 and report["verdict"] == "input error"
+    assert report["witnesses"]["error"] == \
+        f"--rank: rank must be from 1 to 25, got {rank}"
 
 
 def test_search_condition_witness_small(capsys):

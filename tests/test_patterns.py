@@ -7,11 +7,13 @@ import re
 import pytest
 from oracles import placements_oracle
 
-from rauzy import graphs, selectors
+from rauzy import actions, graphs, selectors, special
+from rauzy.actions import FiniteAction
 from rauzy.generate import random_minimal_graph
 from rauzy.patterns import (
     Alphabet,
     CapExceededError,
+    Domain,
     Pattern,
     Sft,
     WindowConfig,
@@ -378,6 +380,17 @@ def test_sft_document_pair_letter_outside_window():
         sft_from_doc(doc)
 
 
+@pytest.mark.parametrize("rule", [{"e": "zz"}, {"e": "zz", "a": 0},
+                                  {"e": 0, "a": "zz"}, {"e": "0"}])
+def test_sft_document_rule_symbols_must_be_in_the_alphabet(rule):
+    doc = {"rank": 2, "alphabet": [0], "window": ["e", "a"],
+           "forbidden": [{"e": 0}, rule]}
+    bad = next(v for v in rule.values() if v != 0)
+    with pytest.raises(DocumentError, match=re.escape(
+            f"sft.forbidden[1]: symbol {bad!r} is not in the alphabet")):
+        sft_from_doc(doc)
+
+
 def _documented_listing(group, banned, pairs):
     """The forbidden list in its documented order: by repr(a), the ban
     {e: a} before a's pairs, and those by letter, then by repr(b)."""
@@ -504,3 +517,100 @@ def test_nearest_neighbour_golden_digest():
     records = _nearest_neighbour_records()
     digest = hashlib.sha256(repr(records).encode()).hexdigest()
     assert digest == NN_DIGEST
+
+
+def _iota_oracle(F, config):
+    """iota as a dict walk over (g, f) in canonical order: the first value
+    to land on a word stays, and the first later one that differs raises."""
+    values = {}
+    for g, pat in config.items:
+        for f in sorted(set(F), key=word_key):
+            h = concat(g, f)
+            old = values.setdefault(h, pat[f])
+            if old != pat[f]:
+                raise ValueError(
+                    f"incompatible overlaps at {h}: {old!r} vs {pat[f]!r}")
+    return WindowConfig(values)
+
+
+def _same_config(trusted, rng):
+    """The config rebuilt by the mapping constructor from its items in a
+    shuffled order is the same config, down to hash, repr and items."""
+    items = list(trusted.items)
+    rng.shuffle(items)
+    mapped = WindowConfig(dict(items))
+    assert trusted == mapped and mapped == trusted
+    assert hash(trusted) == hash(mapped)
+    assert repr(trusted) == repr(mapped)
+    assert trusted.items == mapped.items
+    assert list(trusted.domain) == sorted(trusted.domain, key=word_key)
+
+
+def test_trusted_configs_match_mapping_configs():
+    """Seeded random domains and symbols, then every trusted construction
+    path: each gives the config the mapping constructor gives."""
+    rng = random.Random(1010)
+    pats = [Pattern({EPSILON: 0}), Pattern({EPSILON: 1, (0,): 0})]
+    for rank in (1, 2, 3):
+        group = FreeGroup(rank)
+        ball = group.ball(3)
+        for _ in range(30):
+            size = rng.randint(1, min(30, len(ball)))
+            dom = Domain.of(rng.sample(ball, size))
+            symbols = rng.choice([[0, 1], ["u", "v", 10, "10"], pats])
+            values = tuple(rng.choice(symbols) for _ in dom)
+            config = WindowConfig._of(dom, values)
+            _same_config(config, rng)
+            for w in ball:
+                assert config.get(w, "-") == dict(config.items).get(w, "-")
+                assert (w in config) == (w in dict(config.items))
+    group2 = FreeGroup(2)
+    trusted = list(enumerate_window(
+        graphs.xg_sft(graphs.letter_flow_graph(group2)), group2.ball(2)))
+    g = graphs.three_star(group2)
+    sel = selectors.synthesize_recurrent(g, selectors.find_cycle(g, 0))
+    wit = selectors.sofic_witness(sel)
+    z0 = selectors.z0_window(sel, 3)
+    trusted += [selectors.x_t_window(sel, 3), z0, wit.project(z0)]
+    sft, proj = special_symbol_sft(group2, 2)
+    x0 = x0_window(group2, 2, 3)
+    trusted += [x0, special.chi_window(group2, 2, 3),
+                special.project_config(x0, proj)]
+    act = FiniteAction(group2, ["p", "q", "r"], [[1, 2, 0], [0, 2, 1]])
+    trusted.append(actions.periodic_window(act, 1, 3))
+    F = group2.ball(1)
+    for c in _pattern_graph_configs(group2, Alphabet([0, 1]), F, 1)[::97]:
+        flat = iota(group2, F, c)
+        assert flat == _iota_oracle(F, c)
+        trusted += [c, flat, window_j(group2, F, flat, F)]
+    for c in trusted:
+        _same_config(c, rng)
+
+
+def test_iota_conflicts_and_missing_words_keep_their_messages(group2):
+    rng = random.Random(77)
+    F = group2.ball(1)
+    for _ in range(40):
+        domain = rng.sample(group2.ball(1), rng.randint(2, 5))
+        config = WindowConfig({g: Pattern({f: rng.randrange(2) for f in F})
+                               for g in domain})
+        try:
+            want = _iota_oracle(F, config)
+        except ValueError as exc:
+            with pytest.raises(ValueError, match=f"^{re.escape(str(exc))}$"):
+                iota(group2, F, config)
+            continue
+        assert iota(group2, F, config) == want
+    conflict = WindowConfig({EPSILON: Pattern({f: 0 for f in F}),
+                             (0,): Pattern({f: 1 for f in F})})
+    with pytest.raises(ValueError, match=re.escape(
+            "incompatible overlaps at (0,): 0 vs 1")):
+        iota(group2, F, conflict)
+    flat = WindowConfig({w: 0 for w in group2.ball(2) if w != (0, 2)})
+    with pytest.raises(ValueError, match=re.escape(
+            "config domain missing words: [(0, 2)]")):
+        window_j(group2, F, flat, F)
+    with pytest.raises(ValueError, match=re.escape(
+            "config domain missing words: [(0, 2), (0, 0, 0), (0, 0, 2), "
+            "(0, 0, 3)]")):
+        window_j(group2, F, flat, [EPSILON, (0,), (0, 0)])
