@@ -31,6 +31,7 @@ from .serialize import (
     measured_to_doc,
     pattern_from_doc,
     point_name,
+    report_text,
     selector_from_doc,
     selector_to_doc,
     sft_to_doc,
@@ -76,6 +77,16 @@ def _measured_graph(doc) -> MeasuredRauzyGraph:
     return g
 
 
+def _nonnegative(args, *names) -> None:
+    """Refuse a negative count option (a radius, window, depth, cap or
+    vertex bound) as malformed input."""
+    for name in names:
+        value = getattr(args, name)
+        if value < 0:
+            option = "--" + name.replace("_", "-")
+            raise DocumentError(f"{option}: must not be negative, got {value}")
+
+
 def _write_dot(path, render, obj):
     if path:
         with open(path, "w") as fh:
@@ -117,6 +128,7 @@ def cmd_conditions(args):
 
 
 def cmd_xg_window(args):
+    _nonnegative(args, "radius", "cap")
     doc, digest = _read_doc(args.graph)
     g = _bare_graph(doc)
     sft = graphs.xg_sft(g)
@@ -165,6 +177,7 @@ def _parse_cycle_arg(text, g):
 
 
 def cmd_selector_expand(args):
+    _nonnegative(args, "radius")
     doc, digest = _read_doc(args.selector)
     sel, _ = selector_from_doc(doc)
     group = sel.graph.group
@@ -189,6 +202,7 @@ def cmd_sofic_witness(args):
 
 
 def cmd_certify_minimal(args):
+    _nonnegative(args, "window", "depth")
     doc, digest = _read_doc(args.selector)
     sel, cycle = selector_from_doc(doc)
     if args.cycle is not None:
@@ -281,6 +295,7 @@ def _rank_group(rank: int) -> FreeGroup:
 
 
 def cmd_special_symbol(args):
+    _nonnegative(args, "radius")
     group = _rank_group(args.rank)
     s0 = group.parse_letter(args.gen)
     if s0 & 1:
@@ -299,6 +314,7 @@ def cmd_special_symbol(args):
 
 
 def cmd_return_set(args):
+    _nonnegative(args, "depth")
     wdoc, wdigest = _read_doc(args.window)
     pdoc, pdigest = _read_doc(args.pattern)
     group, config = window_from_doc(wdoc)
@@ -311,6 +327,7 @@ def cmd_return_set(args):
 
 
 def cmd_search_condition_witness(args):
+    _nonnegative(args, "max_vertices")
     group = _rank_group(args.rank)
     found = graphs.find_condition_witnesses(group, args.max_vertices)
     wit = {}
@@ -442,14 +459,14 @@ def main(argv=None) -> int:
     except DocumentError as exc:
         report = {"command": command, "inputs": {}, "verdict": "input error",
                   "witnesses": {"error": str(exc)}}
-        print(json.dumps(report, indent=2, sort_keys=True))
+        print(report_text(report))
         print(f"timings: {time.monotonic() - started:.3f}s", file=sys.stderr)
         return 2
     except (ValueError, CapExceededError) as exc:
         inputs, verdict, witnesses, code = {}, "error", {"error": str(exc)}, 1
     report = {"command": command, "inputs": inputs, "verdict": verdict,
               "witnesses": witnesses}
-    print(json.dumps(report, indent=2, sort_keys=True))
+    print(report_text(report))
     print(f"timings: {time.monotonic() - started:.3f}s", file=sys.stderr)
     return code
 

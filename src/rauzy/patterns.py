@@ -12,7 +12,7 @@ finite scale.  Global admissibility is never claimed.
 
 from __future__ import annotations
 
-from functools import lru_cache
+from functools import cached_property, lru_cache
 from itertools import product
 from typing import Iterable, Mapping, Sequence
 
@@ -233,6 +233,17 @@ class Sft:
         return (f"Sft(|A|={len(self.alphabet)}, banned={len(self.banned)}, "
                 f"pairs={len(self.pairs)}, window={len(self.window)})")
 
+    @cached_property
+    def follow_table(self) -> tuple:
+        """(first, follow), built once: the symbols not banned at a site,
+        and follow[a, s] for a in first: in alphabet order, the symbols b
+        of first such that neither (a, s, b) nor (b, s^-1, a) is a rule."""
+        pairs = self.pairs | {(b, s ^ 1, a) for a, s, b in self.pairs}
+        first = tuple(a for a in self.alphabet.symbols if a not in self.banned)
+        follow = {(a, s): tuple(b for b in first if (a, s, b) not in pairs)
+                  for a in first for s in self.group.letters}
+        return first, follow
+
 
 def full_shift(group: FreeGroup, alphabet: Alphabet) -> Sft:
     return Sft(group, alphabet, (EPSILON,))
@@ -318,17 +329,6 @@ def _neighbor_rules(group: FreeGroup, symbols: Sequence, follow) -> list:
     return out
 
 
-def _follow_table(sft: Sft) -> tuple:
-    """(first, follow): the symbols not banned at a site, and follow[a, s]
-    for a in first: the symbols b of first such that neither (a, s, b) nor
-    (b, s^-1, a) is a pair rule, both in alphabet order."""
-    pairs = sft.pairs | {(b, s ^ 1, a) for a, s, b in sft.pairs}
-    first = tuple(a for a in sft.alphabet.symbols if a not in sft.banned)
-    follow = {(a, s): tuple(b for b in first if (a, s, b) not in pairs)
-              for a in first for s in sft.group.letters}
-    return first, follow
-
-
 def enumerate_window(sft: Sft, domain: Iterable[Word],
                      cap: int = 10_000_000) -> tuple:
     """All locally admissible colorings of `domain`, in deterministic order.
@@ -350,7 +350,7 @@ def enumerate_window(sft: Sft, domain: Iterable[Word],
     pos = dom.index
     parent = [pos[w[:-1]] for w in order]
     n = len(order)
-    first, follow = _follow_table(sft)
+    first, follow = sft.follow_table
     make = WindowConfig._of
     out = []
     assignment = [None] * n
@@ -383,7 +383,7 @@ def is_locally_admissible(sft: Sft, config: WindowConfig) -> bool:
     """Whether no banned symbol or pair occurs inside the config, whose
     domain may be disconnected: each symbol is in first, and each symbol at
     a neighbour w*s of w is in follow[config(w), s]."""
-    first, follow = _follow_table(sft)
+    first, follow = sft.follow_table
     values = config.values
     return (all(v in first for v in values)
             and all(values[k] in follow[values[i], s] for i, s, k in

@@ -13,6 +13,8 @@ from __future__ import annotations
 import re
 from fractions import Fraction
 from functools import lru_cache
+from itertools import chain
+from json.encoder import JSONEncoder, c_make_encoder, encode_basestring_ascii
 from operator import itemgetter
 from typing import Any
 
@@ -332,15 +334,22 @@ def sft_to_doc(sft: Sft) -> dict:
     the ban {e: a} first, then a's pairs {e: a, s: b} by s and repr(b)."""
     group = sft.group
     names = [group.format_letter(s) for s in group.letters]
-    pairs_of: dict = {}   # a -> its pairs as (s, repr(b), b)
+    # the alphabet and any symbol a rule names outside it (Sft does not
+    # check), ranked by repr once; the rules are then ordered by ranks
+    order = sorted(set(sft.alphabet.symbols).union(
+        sft.banned, map(itemgetter(0), sft.pairs),
+        map(itemgetter(2), sft.pairs)), key=repr)
+    rank = {a: i for i, a in enumerate(order)}
+    rows = [[[] for _ in names] for _ in order]   # rank of a, s -> ranks of b
     for a, s, b in sft.pairs:
-        pairs_of.setdefault(a, []).append((s, repr(b), b))
+        rows[rank[a]][s].append(rank[b])
     forbidden = []
-    for a in sorted(sft.banned | pairs_of.keys(), key=repr):
+    for a, row in zip(order, rows):
         if a in sft.banned:
             forbidden.append({"e": a})
-        forbidden += [{"e": a, names[s]: b} for s, _, b in
-                      sorted(pairs_of.get(a, ()), key=itemgetter(0, 1))]
+        for name, bs in zip(names, row):
+            bs.sort()
+            forbidden += [{"e": a, name: order[j]} for j in bs]
     return {
         "rank": group.rank,
         "alphabet": [_symbol(a, "sft.alphabet")
@@ -387,6 +396,119 @@ def sft_from_doc(doc: dict) -> Sft:
         return Sft(group, Alphabet(alphabet), window, banned, pairs)
     except ValueError as exc:
         raise DocumentError(f"sft: {exc}") from None
+
+
+# -- reports
+
+_SCALARS = frozenset({str, int, float, bool, type(None)})
+_unsupported = JSONEncoder().default    # raises the stdlib's TypeError
+
+
+@lru_cache(maxsize=32)
+def _one_call(depth: int):
+    """The text of a scalar or of a container of scalars in one encoder
+    call: keys sorted, items separated by a newline and the pad of `depth`,
+    nothing between the brackets and the first and last items."""
+    sep = ",\n" + "  " * depth
+    if c_make_encoder is None:
+        return JSONEncoder(separators=(sep, ": "), sort_keys=True).encode
+    encode = c_make_encoder(None, _unsupported, encode_basestring_ascii,
+                            None, ": ", sep, True, False, True)
+    return lambda o: "".join(encode(o, 0))
+
+
+def report_text(obj) -> str:
+    """obj as the stdlib's json.dumps writes it with an indent of 2 and
+    sorted keys, byte for byte, errors included.
+
+    On Python 3.11 an indent turns json's C encoder off.  Here a container
+    of scalars (a leaf) takes one C encoder call, as does each dict of a
+    list of non-empty leaf dicts; only the containers above the leaves are
+    walked in Python."""
+    out: list = []
+    _write(obj, 0, out, set())
+    return "".join(out)
+
+
+def _write(o, depth: int, out: list, path: set) -> None:
+    if isinstance(o, (str, int, float)) or o is None:
+        out.append(_one_call(depth)(o))
+    elif isinstance(o, (list, tuple)):
+        _write_list(o, depth, out, path)
+    elif isinstance(o, dict):
+        _write_dict(o, depth, out, path)
+    else:
+        _unsupported(o)
+
+
+def _leaf(o, depth: int) -> str:
+    """A non-empty container of scalars at `depth`."""
+    text = _one_call(depth + 1)(o)
+    pad = "\n" + "  " * depth
+    return f"{text[0]}{pad}  {text[1:-1]}{pad}{text[-1]}"
+
+
+def _write_list(items, depth: int, out: list, path: set) -> None:
+    if not items:
+        out.append("[]")
+        return
+    if _SCALARS.issuperset(map(type, items)):
+        out.append(_leaf(items, depth))
+        return
+    inner, outer = "\n" + "  " * (depth + 1), "\n" + "  " * depth
+    if (set(map(type, items)) == {dict} and all(items)
+            and _SCALARS.issuperset(map(type, chain.from_iterable(
+                map(dict.values, items))))):
+        encode = _one_call(depth + 2)
+        opened, closed = "{" + inner + "  ", inner + "}"
+        try:
+            rows = [opened + encode(d)[1:-1] + closed for d in items]
+        except TypeError:
+            pass    # a bad key: the walk below raises the stdlib's error
+        else:
+            out.append("[" + inner + ("," + inner).join(rows) + outer + "]")
+            return
+    if id(items) in path:
+        raise ValueError("Circular reference detected")
+    path.add(id(items))
+    sep = "[" + inner
+    for item in items:
+        out.append(sep)
+        _write(item, depth + 1, out, path)
+        sep = "," + inner
+    out.append(outer + "]")
+    path.remove(id(items))
+
+
+def _write_dict(d: dict, depth: int, out: list, path: set) -> None:
+    if not d:
+        out.append("{}")
+        return
+    if _SCALARS.issuperset(map(type, d.values())):
+        try:
+            out.append(_leaf(d, depth))
+            return
+        except TypeError:
+            pass    # a bad key: the walk below raises the stdlib's error
+    if id(d) in path:
+        raise ValueError("Circular reference detected")
+    path.add(id(d))
+    inner, outer = "\n" + "  " * (depth + 1), "\n" + "  " * depth
+    scalar = _one_call(depth + 1)
+    sep = "{" + inner
+    for k, v in sorted(d.items()):
+        if isinstance(k, str):
+            k = encode_basestring_ascii(k)
+        elif isinstance(k, (int, float)) or k is None:
+            k = f'"{scalar(k)}"'
+        else:
+            raise TypeError("keys must be str, int, float, bool or None, "
+                            f"not {k.__class__.__name__}")
+        out.append(f"{sep}{k}: ")
+        _write(v, depth + 1, out, path)
+        sep = "," + inner
+    out.append(outer + "}")
+    path.remove(id(d))
 
 
 # -- DOT export (one arrow per bar pair, positively labeled representative)

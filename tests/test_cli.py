@@ -375,6 +375,42 @@ def test_rank_option_outside_range_is_an_input_error(capsys, command, rank):
         f"--rank: rank must be from 1 to 25, got {rank}"
 
 
+@pytest.mark.parametrize("command, option", [
+    (["xg-window", "{graph}", "--radius", "1"], "--radius"),
+    (["xg-window", "{graph}", "--radius", "1", "--cap", "5"], "--cap"),
+    (["selector", "expand", "{selector}", "--radius", "1"], "--radius"),
+    (["certify-minimal", "{selector}", "--window", "1", "--depth", "1"],
+     "--window"),
+    (["certify-minimal", "{selector}", "--window", "1", "--depth", "1"],
+     "--depth"),
+    (["special-symbol", "--rank", "2", "--gen", "a", "--radius", "1"],
+     "--radius"),
+    (["return-set", "{window}", "--pattern", "{pattern}", "--depth", "1"],
+     "--depth"),
+    (["search-condition-witness", "--max-vertices", "1"], "--max-vertices"),
+], ids=lambda x: x if isinstance(x, str) else x[0])
+def test_negative_count_option_is_an_input_error(tmp_path, capsys, cyc2,
+                                                 command, option):
+    cycle = selectors.find_cycle(cyc2, 0)
+    sel = selectors.synthesize_recurrent(cyc2, cycle)
+    paths = {
+        "graph": write(tmp_path, "g.json", graph_to_doc(cyc2)),
+        "selector": write(tmp_path, "sel.json", selector_to_doc(sel, cycle)),
+        "window": write(tmp_path, "w.json",
+                        window_to_doc(cyc2.group,
+                                      selectors.x_t_window(sel, 2))),
+        "pattern": write(tmp_path, "p.json", {"values": {"e": "u"}}),
+    }
+    argv = [arg.format(**paths) for arg in command]
+    code, report = run(capsys, *argv)
+    assert code in (0, 1) and report["verdict"] != "input error"
+    argv[argv.index(option) + 1] = "-5"
+    code, report = run(capsys, *argv)
+    assert code == 2 and report["verdict"] == "input error"
+    assert report["witnesses"]["error"] == \
+        f"{option}: must not be negative, got -5"
+
+
 def test_search_condition_witness_small(capsys):
     code, report = run(capsys, "search-condition-witness",
                        "--max-vertices", "2")

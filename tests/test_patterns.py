@@ -1,3 +1,4 @@
+import functools
 import hashlib
 import itertools
 import json
@@ -283,6 +284,25 @@ def test_local_admissibility_matches_enumeration(group2, cyc2):
     for colors in itertools.product(cyc2.vertices, repeat=len(ball)):
         c = WindowConfig(dict(zip(ball, colors)))
         assert is_locally_admissible(sft, c) == (c in admissible)
+
+
+def test_follow_table_is_built_once_per_sft(monkeypatch, group2, cyc2):
+    built = []
+    build = Sft.follow_table.func
+
+    def counted(sft):
+        built.append(sft)
+        return build(sft)
+
+    table = functools.cached_property(counted)
+    table.__set_name__(Sft, "follow_table")
+    monkeypatch.setattr(Sft, "follow_table", table)
+    sft = graphs.xg_sft(cyc2)
+    configs = enumerate_window(sft, group2.ball(1))
+    assert all(is_locally_admissible(sft, c) for c in configs[:2])
+    assert enumerate_window(sft, group2.ball(2))
+    assert built == [sft]
+    assert sft.follow_table is sft.follow_table
 
 
 def _random_one_step_sft(rng, group):
