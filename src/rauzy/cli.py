@@ -243,6 +243,10 @@ def cmd_measure_solve(args):
 def cmd_finite_action(args):
     doc, digest = _read_doc(args.graph)
     mg = _measured_graph(doc)
+    rank = mg.graph.group.rank
+    if args.transitive and not 0 <= args.generator < rank:
+        raise DocumentError(
+            f"--generator: no generator {args.generator} at rank {rank}")
     act, pi = actions.build_finite_action(mg)
     if args.transitive:
         act = actions.make_transitive(act, pi, mg, generator=args.generator)

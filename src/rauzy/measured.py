@@ -6,9 +6,12 @@ bar-paired edges carry equal weight.  Giving each bar pair one weight makes
 every in-balance equation an out-balance one, so the system solved has one
 unknown per vertex and per bar pair and one row per (vertex, letter).  A
 solution with every coordinate >= 1 (strict positivity, by homogeneity) is
-found or refuted by an exact phase-1 simplex over Fraction with Bland's
-rule; positive rational solutions scale to integer ones by clearing
-denominators.
+found or refuted by an exact phase-1 simplex with Bland's rule on an
+integer-preserving (fraction-free) tableau: integer rows T over one common
+denominator d stand for T / d, every pivot divides exactly by Sylvester's
+identity, and rational input is first scaled by the lcm of all its
+denominators.  Positive rational solutions scale to integer ones by
+clearing denominators.
 """
 
 from __future__ import annotations
@@ -100,43 +103,57 @@ def solve_at_least_one(rows: Sequence[Sequence[Fraction]],
     with b = -(rows @ 1), rows negated where b < 0.  Each row starts with an
     artificial basic variable; an artificial that leaves the basis never
     returns, so the tableau holds no artificial columns.
+
+    The tableau is integer-preserving (Bareiss 1968, Edmonds 1967): integer
+    rows T over one common denominator d > 0 stand for T / d.  Pivoting on
+    p = T[leave][enter] > 0 keeps the pivot row, maps every other row r,
+    the cost row included, to (p*r - r[enter]*T[leave]) // d, and sets
+    d = p; the division is exact by Sylvester's identity.  Rational input
+    is first multiplied by the lcm of all its denominators, one positive
+    factor for the whole system, so signs, ratios and x are unchanged.
     """
+    scale = lcm(*{a.denominator for row in rows for a in row})
     tableau = []
     for row in rows:
-        r = [Fraction(a) for a in row]
+        r = [int(a * scale) for a in row]
         r.append(-sum(r))
         tableau.append([-a for a in r] if r[-1] < 0 else r)
     # artificial i is labelled n_cols + i, after every structural column
     basis = [n_cols + i for i in range(len(tableau))]
     # reduced costs of minimizing the sum of artificials; cost[-1] is
     # minus the objective
-    cost = [Fraction(0)] * (n_cols + 1)
+    cost = [0] * (n_cols + 1)
     for r in tableau:
         cost = [c - a for c, a in zip(cost, r)]
+    d = 1
 
     while True:
         enter = next((j for j in range(n_cols) if cost[j] < 0), None)
         if enter is None:
             break
         # Bland: least ratio, then least basis index
-        _, _, leave = min((r[-1] / r[enter], basis[i], i)
+        _, _, leave = min((Fraction(r[-1], r[enter]), basis[i], i)
                           for i, r in enumerate(tableau) if r[enter] > 0)
-        piv = tableau[leave][enter]
-        prow = tableau[leave] = [x / piv for x in tableau[leave]]
-        support = [(j, x) for j, x in enumerate(prow) if x]
-        for r in (*tableau, cost):
+        prow = tableau[leave]
+        p = prow[enter]
+
+        def eliminate(r):
             f = r[enter]
-            if f and r is not prow:
-                for j, x in support:
-                    r[j] -= f * x
+            if f:
+                return [(p * a - f * b) // d for a, b in zip(r, prow)]
+            return r if p == d else [p * a // d for a in r]
+
+        tableau = [r if r is prow else eliminate(r) for r in tableau]
+        cost = eliminate(cost)
         basis[leave] = enter
+        d = p
 
     if cost[-1] != 0:
         raise Infeasible("no solution with every coordinate >= 1")
     x = [Fraction(1)] * n_cols
     for r, var in zip(tableau, basis):
         if var < n_cols:
-            x[var] += r[-1]
+            x[var] += Fraction(r[-1], d)
     return x
 
 
@@ -155,8 +172,8 @@ def _balance_system(g: RauzyGraph) -> tuple:
     rows = []
     for v in range(n):
         for s in g.group.letters:
-            row = [Fraction(0)] * n_cols
-            row[v] = Fraction(-1)
+            row = [0] * n_cols
+            row[v] = -1
             for i in g.out_edges(v, s):
                 row[pair[i]] += 1
             rows.append(row)

@@ -3,10 +3,12 @@
 These deliberately avoid the library's own reachability code paths.
 """
 
+from fractions import Fraction
 from itertools import permutations, product
 
 import numpy as np
 
+from rauzy.measured import Infeasible
 from rauzy.words import concat
 
 
@@ -143,6 +145,55 @@ def lp_feasible(g):
                   b_eq=np.zeros(len(rows)), bounds=(1, None), method="highs")
     assert res.status in (0, 2), res.message
     return res.status == 0
+
+
+def phase1_oracle(rows, n_cols):
+    """An exact x with rows @ x = 0 and every coordinate >= 1, or raise
+    Infeasible, by the library's phase-1 simplex run on a Fraction tableau:
+    the reference for its integer-preserving one.
+
+    Phase-1 simplex with Bland's rule on y = x - 1 >= 0, i.e. rows @ y = b
+    with b = -(rows @ 1), rows negated where b < 0.  Each row starts with an
+    artificial basic variable; an artificial that leaves the basis never
+    returns, so the tableau holds no artificial columns.
+    """
+    tableau = []
+    for row in rows:
+        r = [Fraction(a) for a in row]
+        r.append(-sum(r))
+        tableau.append([-a for a in r] if r[-1] < 0 else r)
+    # artificial i is labelled n_cols + i, after every structural column
+    basis = [n_cols + i for i in range(len(tableau))]
+    # reduced costs of minimizing the sum of artificials; cost[-1] is
+    # minus the objective
+    cost = [Fraction(0)] * (n_cols + 1)
+    for r in tableau:
+        cost = [c - a for c, a in zip(cost, r)]
+
+    while True:
+        enter = next((j for j in range(n_cols) if cost[j] < 0), None)
+        if enter is None:
+            break
+        # Bland: least ratio, then least basis index
+        _, _, leave = min((r[-1] / r[enter], basis[i], i)
+                          for i, r in enumerate(tableau) if r[enter] > 0)
+        piv = tableau[leave][enter]
+        prow = tableau[leave] = [x / piv for x in tableau[leave]]
+        support = [(j, x) for j, x in enumerate(prow) if x]
+        for r in (*tableau, cost):
+            f = r[enter]
+            if f and r is not prow:
+                for j, x in support:
+                    r[j] -= f * x
+        basis[leave] = enter
+
+    if cost[-1] != 0:
+        raise Infeasible("no solution with every coordinate >= 1")
+    x = [Fraction(1)] * n_cols
+    for r, var in zip(tableau, basis):
+        if var < n_cols:
+            x[var] += r[-1]
+    return x
 
 
 def placements_oracle(group, domain, F):

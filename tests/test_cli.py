@@ -211,7 +211,7 @@ def test_finite_action_generator_out_of_range(tmp_path, capsys, cyc2,
                  measured_to_doc(measured.integer_solution(cyc2)))
     code, report = run(capsys, "finite-action", path, "--transitive",
                        "--generator", generator)
-    assert code == 1 and report["verdict"] == "error"
+    assert code == 2 and report["verdict"] == "input error"
     assert f"no generator {generator}" in report["witnesses"]["error"]
 
 

@@ -5,12 +5,18 @@ from hashlib import sha256
 import pytest
 import sympy
 
-from oracles import balance_matrix, balance_violations, lp_feasible
+from oracles import (
+    balance_matrix,
+    balance_violations,
+    lp_feasible,
+    phase1_oracle,
+)
 from rauzy import graphs
 from rauzy.generate import random_valid_graph
 from rauzy.measured import (
     Infeasible,
     MeasuredRauzyGraph,
+    _balance_system,
     integer_solution,
     solve_at_least_one,
     validate_balance,
@@ -187,6 +193,61 @@ def test_simplex_feasibility_basics():
         solve_at_least_one([[1, -1, -1], [1, -1, 0]], 3)
 
 
+def _oracle_systems(rng):
+    """Balance systems of random valid graphs, small integer systems with
+    degenerate (zero right-hand side), repeated and empty rows, and systems
+    with Fraction entries over mixed denominators."""
+    for rank in (1, 2, 3):
+        group = FreeGroup(rank)
+        for _ in range(40):
+            rows, n_cols, _ = _balance_system(random_valid_graph(group, rng, 5))
+            yield rows, n_cols
+    for _ in range(400):
+        # sparse and wide, so that degenerate ratio ties meet rows whose
+        # basic variables are out of row order
+        n_cols = rng.randint(1, 16)
+        rows = []
+        for _ in range(rng.randint(0, 8)):
+            row = [rng.choice((-2, -1, 1, 2)) if rng.random() < 0.4 else 0
+                   for _ in range(n_cols)]
+            kind = rng.random()
+            if kind < 0.7:
+                row[-1] -= sum(row)        # degenerate: b = 0
+            elif kind < 0.8:
+                row = [0] * n_cols         # empty
+            rows.append(row)
+            if rng.random() < 0.1:
+                rows.append([-a for a in rng.choice(rows)])
+        yield rows, n_cols
+    for _ in range(300):
+        n_cols = rng.randint(1, 6)
+        rows = []
+        for _ in range(rng.randint(1, 4)):
+            row = [Fraction(rng.randint(-3, 3), rng.randint(1, 6))
+                   for _ in range(n_cols)]
+            if rng.random() < 0.5:
+                row[-1] -= sum(row)
+            rows.append(row)
+        yield rows, n_cols
+
+
+def _outcome(solve, rows, n_cols):
+    try:
+        return solve(rows, n_cols)
+    except Infeasible:
+        return None
+
+
+def test_simplex_matches_fraction_oracle():
+    outcomes = []
+    for rows, n_cols in _oracle_systems(random.Random(16)):
+        got = _outcome(solve_at_least_one, rows, n_cols)
+        assert got == _outcome(phase1_oracle, rows, n_cols), (rows, n_cols)
+        assert got is None or all(type(a) is Fraction for a in got)
+        outcomes.append(got is not None)
+    assert 200 < sum(outcomes) < len(outcomes) - 200
+
+
 def test_validate_balance_matches_brute_force():
     rng = random.Random(12)
     cases = 0
@@ -220,14 +281,29 @@ def test_validate_balance_matches_brute_force():
 # verdicts of integer_solution on every rank-2 class on 1..3 vertices, in
 # all_valid_graphs order; recorded with the kernel-basis solver
 VERDICT_DIGEST = "2da672ff6192c284"
+# the solutions (mu, m) themselves, on the same classes and then on seeded
+# random valid graphs of rank 1..3; recorded with the Fraction tableau
+SOLUTION_DIGEST = "e74001cd11d9a7e8"
+
+
+def _solution_digest_graphs():
+    rng = random.Random(16)
+    for rank in (1, 2, 3):
+        group = FreeGroup(rank)
+        for _ in range(40):
+            yield random_valid_graph(group, rng, 8)
 
 
 def test_verdicts_golden_digest():
     group = FreeGroup(2)
-    verdicts = [integer_solution(g) is not None
-                for n in range(1, 4) for g in graphs.all_valid_graphs(group, n)]
+    solutions = [integer_solution(g)
+                 for n in range(1, 4) for g in graphs.all_valid_graphs(group, n)]
+    verdicts = [sol is not None for sol in solutions]
     assert (len(verdicts), sum(verdicts)) == (2316, 801)
     assert sha256(repr(verdicts).encode()).hexdigest()[:16] == VERDICT_DIGEST
+    solutions += map(integer_solution, _solution_digest_graphs())
+    weights = [sol and (sol.mu, sol.m) for sol in solutions]
+    assert sha256(repr(weights).encode()).hexdigest()[:16] == SOLUTION_DIGEST
 
 
 def test_verdicts_agree_with_highs():
