@@ -35,14 +35,12 @@ from .patterns import (
 )
 from .graphs import (
     RauzyGraph,
-    canonical_form,
     check_conditions,
     find_condition_witnesses,
     graph_of_window,
     is_deterministic,
     is_graph_morphism,
     is_minimal,
-    isomorphic,
     letter_flow_graph,
     morphism_edge_map,
     pattern_graph,

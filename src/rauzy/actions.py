@@ -71,12 +71,6 @@ class FiniteAction:
                 and self.points == other.points
                 and self.walks == other.walks)
 
-    def __hash__(self):
-        return hash((self.group, self.points, self.walks))
-
-    def __repr__(self):
-        return f"FiniteAction({len(self.points)} points, d={self.group.rank})"
-
 
 def is_equivariant(a1: FiniteAction, a2: FiniteAction, mapping: dict) -> bool:
     """Whether the point map (label -> label) commutes with every edge walk."""

@@ -122,18 +122,11 @@ class RauzyGraph:
     def vertex_id(self, label: Hashable) -> int:
         return self.vertices.index(label)
 
-    def __repr__(self):
-        return (f"RauzyGraph(d={self.group.rank}, |V|={len(self.vertices)}, "
-                f"|E|={len(self.edges)})")
-
     def __eq__(self, other):
         return (isinstance(other, RauzyGraph)
                 and self.group == other.group
                 and self.vertices == other.vertices
                 and self.edges == other.edges)
-
-    def __hash__(self):
-        return hash((self.group, self.vertices, self.edges))
 
 
 def validate(g: RauzyGraph) -> list[str]:
@@ -429,25 +422,6 @@ def morphism_edge_map(g1: RauzyGraph, g2: RauzyGraph,
             raise ValueError(f"not a morphism: edge {i} has no image")
         out.append(f)
     return tuple(out)
-
-
-def canonical_form(g: RauzyGraph) -> tuple:
-    """Lexicographically minimal edge encoding over vertex renamings.
-
-    Intended for small graphs (<= 8 vertices); used to compare graphs up to
-    renaming.
-    """
-    n = len(g.vertices)
-    if n > 8:
-        raise ValueError("canonical form only supported for <= 8 vertices")
-    triples = [(e.source, e.target, e.label) for e in g.edges]
-    return (n, min(tuple(sorted((p[a], p[b], s) for (a, b, s) in triples))
-                   for p in permutations(range(n))))
-
-
-def isomorphic(g1: RauzyGraph, g2: RauzyGraph) -> bool:
-    return (g1.group == g2.group
-            and canonical_form(g1) == canonical_form(g2))
 
 
 # -- fixtures used across the package and its tests

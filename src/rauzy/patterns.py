@@ -53,15 +53,6 @@ class Alphabet:
     def __iter__(self):
         return iter(self.symbols)
 
-    def __eq__(self, other):
-        return isinstance(other, Alphabet) and self.symbols == other.symbols
-
-    def __hash__(self):
-        return hash(self.symbols)
-
-    def __repr__(self):
-        return f"Alphabet({list(self.symbols)!r})"
-
 
 class Domain:
     """Distinct words in canonical ball order, with their hash and a
@@ -100,9 +91,6 @@ class Domain:
 
     def __hash__(self):
         return self._hash
-
-    def __repr__(self):
-        return f"Domain({list(self.words)!r})"
 
 
 @lru_cache(maxsize=8)
@@ -157,9 +145,6 @@ class Pattern:
     def __len__(self) -> int:
         return len(self.values)
 
-    def __iter__(self):
-        return iter(self.items)
-
     def __eq__(self, other):
         return (isinstance(other, Pattern) and self.values == other.values
                 and self.domain == other.domain)
@@ -204,14 +189,6 @@ class WindowLanguage:
     def __iter__(self):
         return iter(self.patterns)
 
-    def __eq__(self, other):
-        return (isinstance(other, WindowLanguage)
-                and self.support == other.support
-                and self.patterns == other.patterns)
-
-    def __hash__(self):
-        return hash((self.support, self.patterns))
-
 
 class Sft:
     """A one-step SFT over a defining window: no symbol of `banned` occurs,
@@ -228,10 +205,6 @@ class Sft:
         self.pairs = frozenset(pairs)
         if EPSILON not in self.window:
             raise ValueError("defining window must contain the identity")
-
-    def __repr__(self):
-        return (f"Sft(|A|={len(self.alphabet)}, banned={len(self.banned)}, "
-                f"pairs={len(self.pairs)}, window={len(self.window)})")
 
     @cached_property
     def follow_table(self) -> tuple:

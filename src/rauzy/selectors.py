@@ -165,6 +165,26 @@ def reachable_range(sel: EdgeSelector) -> frozenset:
     return frozenset(_closure(sel.t0, _moves(sel)))
 
 
+def _distances_to(sel: EdgeSelector, core: Sequence[int]) -> list:
+    """Per edge, the fewest T1 steps along reduced words from it into core
+    (0 on core, None if core is out of reach): one breadth-first search
+    along the reversed steps."""
+    back = [[] for _ in sel.t1]
+    for e, row in enumerate(_moves(sel)):
+        for f in row:
+            back[f].append(e)
+    dist = [None] * len(sel.t1)
+    queue = list(core)
+    for e in queue:
+        dist[e] = 0
+    for f in queue:
+        for e in back[f]:
+            if dist[e] is None:
+                dist[e] = dist[f] + 1
+                queue.append(e)
+    return dist
+
+
 @dataclass(frozen=True)
 class SoficWitness:
     sft: Sft
@@ -257,17 +277,17 @@ def cycle_word(g: RauzyGraph, cycle: Sequence[int]) -> Word:
 def _simplify_cycle(g: RauzyGraph, cycle: list[int]) -> tuple:
     """Remove repeated edges by replacing each subcycle (e, ..., e) with e.
     Preserves the basepoint (the source of the first edge)."""
-    changed = True
-    while changed:
-        changed = False
-        seen = {}
-        for i, e in enumerate(cycle):
-            if e in seen:
-                cycle = cycle[:seen[e] + 1] + cycle[i + 1:]
-                changed = True
-                break
-            seen[e] = i
-    return tuple(cycle)
+    out: list = []
+    at: dict = {}       # edge -> its position in out
+    for e in cycle:
+        if e in at:
+            for f in out[at[e] + 1:]:
+                del at[f]
+            del out[at[e] + 1:]
+        else:
+            at[e] = len(out)
+            out.append(e)
+    return tuple(out)
 
 
 def find_cycle(g: RauzyGraph, v: int) -> tuple:
@@ -365,16 +385,15 @@ def synthesize_recurrent(g: RauzyGraph, cycle: Sequence[int]) -> EdgeSelector:
 
     # grow the reachable set edge by edge
     known = set(cyc) | set(cb)
-    remaining = sorted(set(range(len(g.edges))) - known)
     adj = edge_transitions(g)
-    while remaining:
-        e = remaining[0]
+    for e in range(len(g.edges)):
+        if e in known:
+            continue
         path = _shortest_path(e, known, adj)
         assert path is not None, "minimality guarantees a path"
         for i in range(len(path) - 1):
             assign(path[i], g.edges[path[i + 1]].label, path[i + 1])
             known.add(path[i])
-        remaining = sorted(set(remaining) - set(path))
 
     # fill the rest of T1 with the least admissible edge, per class
     t1 = []
@@ -438,13 +457,8 @@ def validate_recurrent(sel: EdgeSelector, cycle: Sequence[int]) -> list[str]:
                 out.append(
                     f"(iv) t1[{e}] and t1[{g.edges[enext].bar}] disagree at "
                     f"{g.group.format_letter(s)}")
-    back = [[] for _ in g.edges]   # the T1 steps reversed
-    for e, row in enumerate(_moves(sel)):
-        for f in row:
-            back[f].append(e)
-    reaching = _closure(cyc + cb, back)
-    for e in range(len(g.edges)):
-        if e not in reaching:
+    for e, d in enumerate(_distances_to(sel, cyc + cb)):
+        if d is None:
             out.append(f"(v) edge {e} cannot reach the cycle or its reverse")
     return out
 
@@ -482,18 +496,22 @@ def _return_words(sel: EdgeSelector, cycle: Sequence[int]) -> dict:
     n = len(cycle)
     cyc = list(cycle)
     cb = list(bar_cycle(g, cycle))
-    core = set(cyc) | set(cb)
     pos_c = {e: i for i, e in enumerate(cyc)}
     pos_b = {e: i for i, e in enumerate(cb)}
     moves = _moves(sel)
+    dist = _distances_to(sel, cyc + cb)
     out = {}
     for e in range(len(g.edges)):
-        path = _shortest_path(e, core, moves)
-        if path is None:
+        if dist[e] is None:
             raise ValueError(
                 f"edge {e} cannot reach the cycle; selector is not recurrent")
-        w = [g.edges[f].label for f in path[1:]]
-        cur = path[-1]
+        # the first step in letter order that gets one closer: the path a
+        # breadth-first search from e would pick
+        w = []
+        cur = e
+        while dist[cur]:
+            cur = next(f for f in moves[cur] if dist[f] == dist[cur] - 1)
+            w.append(g.edges[cur].label)
         # prolong along whichever cycle was hit until its base edge, making
         # the word nonempty
         if cur in pos_c:

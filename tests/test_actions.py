@@ -204,7 +204,13 @@ def test_periodic_window_graph_reconstruction(group2):
     win = actions.periodic_window(swap, 0, 3)
     lang = restrict_language([win], [EPSILON])
     rebuilt = graphs.graph_of_window(group2, lang, [EPSILON])
-    assert graphs.isomorphic(rebuilt, swap.to_graph())
+    schreier = swap.to_graph()
+    # each vertex is the one-site pattern of its point
+    to_points = {p: p[EPSILON] for p in rebuilt.vertices}
+    back = {v: p for p, v in to_points.items()}
+    assert sorted(back) == sorted(schreier.vertices)
+    assert graphs.is_graph_morphism(rebuilt, schreier, to_points)
+    assert graphs.is_graph_morphism(schreier, rebuilt, back)
 
 
 def test_realize_fixtures(rose2, cyc2, star3):

@@ -223,7 +223,8 @@ def test_every_leaf_command_has_pinned_reports():
     assert sorted(REPORT_SHA256) == sorted(CASES)
 
 
-@pytest.mark.parametrize("case", sorted(CASES), ids=" / ".join)
+@pytest.mark.parametrize("case", sorted(CASES),
+                         ids=lambda case: "-".join(case).replace(" ", "-"))
 def test_report_is_pinned(argv_fields, capsys, case):
     template, expected_code = CASES[case]
     argv = template.format(**argv_fields).split()

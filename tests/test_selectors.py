@@ -16,6 +16,7 @@ from rauzy.selectors import (
 from rauzy.words import EPSILON, FreeGroup, inverse_letter
 
 from oracles import certificate_oracle
+from test_cli_reports import schreier
 
 
 @pytest.fixture(scope="module")
@@ -219,6 +220,74 @@ def test_unreachable_edges_match_brute_force():
             assert found == _unreachable_brute_force(tampered, cycle)
             counts.add(len(found))
     assert 0 in counts and max(counts) >= 4
+
+
+def _return_words_by_search(sel, cycle):
+    """_return_words with one forward breadth-first search per edge: the
+    shortest path into the cycle or its reverse, prolonged along the cycle
+    it hits to that cycle's first edge, at least one step."""
+    g = sel.graph
+    cyc, cb = list(cycle), list(selectors.bar_cycle(g, cycle))
+    out = {}
+    for e in range(len(g.edges)):
+        path = graphs._shortest_path(e, set(cyc) | set(cb),
+                                     selectors._moves(sel))
+        track, which = (cyc, "cycle") if path[-1] in cyc else (cb, "reverse")
+        w = [g.edges[f].label for f in path[1:]]
+        pos = track.index(path[-1])
+        while pos != 0 or not w:
+            pos = (pos + 1) % len(track)
+            w.append(g.edges[track[pos]].label)
+        out[e] = (tuple(w), which)
+    return out
+
+
+def _synth(g, v):
+    cycle = selectors.find_cycle(g, v)
+    return selectors.synthesize_recurrent(g, cycle), cycle
+
+
+def _return_word_inputs():
+    """Recurrent selectors of 12 random minimal graphs of rank 2 and 12 of
+    rank 3 on 2-6 vertices, and of Schreier graphs on 8-64 points, for the
+    cycles found through vertices 0, 8, 16, ..."""
+    rng = random.Random(21)
+    graphs_ = [schreier(FreeGroup(2), n) for n in (8, 16, 32, 64)]
+    for rank in (2, 3):
+        drawn = 0
+        while drawn < 12:
+            g = random_minimal_graph(FreeGroup(rank), rng, 6)
+            if len(g.vertices) >= 2:
+                graphs_.append(g)
+                drawn += 1
+    for g in graphs_:
+        for v in range(0, len(g.vertices), 8):
+            yield _synth(g, v)
+
+
+def test_return_words_take_the_breadth_first_path():
+    edges = 0
+    for sel, cycle in _return_word_inputs():
+        assert selectors._return_words(sel, cycle) == \
+            _return_words_by_search(sel, cycle)
+        edges += len(sel.t1)
+    assert edges > 1000
+
+
+def test_return_words_search_once_not_per_edge(monkeypatch, star3):
+    calls = []
+    search = graphs._shortest_path
+
+    def counted(*args):
+        calls.append(args[0])
+        return search(*args)
+
+    monkeypatch.setattr(selectors, "_shortest_path", counted)
+    monkeypatch.setattr(graphs, "_shortest_path", counted)
+    for sel, cycle in [_synth(star3, 0), _synth(schreier(FreeGroup(2), 16), 0)]:
+        calls.clear()
+        selectors._return_words(sel, cycle)
+        assert calls == []
 
 
 def test_certify_minimality_fixtures(cyc2_selector, rose_selector):
