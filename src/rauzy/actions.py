@@ -22,7 +22,7 @@ from typing import Hashable, Sequence
 from .graphs import RauzyGraph, _UnionFind, is_connected, require_valid
 from .measured import MeasuredRauzyGraph, validate_balance
 from .patterns import WindowConfig, ball_domain
-from .words import FreeGroup, Letter, _closure, _walk_ball
+from .words import FreeGroup, Letter, _bfs, _walk_ball
 
 
 class FiniteAction:
@@ -89,8 +89,8 @@ def orbits(act: FiniteAction) -> list[tuple]:
     out = []
     for p in range(len(act.points)):
         if p not in seen:
-            comp = _closure((p,), act.moves)
-            seen |= comp
+            comp = _bfs(act.moves, (p,))
+            seen.update(comp)
             out.append(tuple(act.points[i] for i in sorted(comp)))
     return out
 
@@ -99,13 +99,10 @@ def is_projection_morphism(act: FiniteAction, pi: dict,
                            g: RauzyGraph) -> bool:
     """Whether pi (point label -> vertex label) is a graph morphism from the
     Schreier graph of the action onto g."""
-    vid = {v: i for i, v in enumerate(g.vertices)}
-    for p in range(len(act.points)):
-        v = vid[pi[act.points[p]]]
-        for s in act.group.letters:
-            w = vid[pi[act.points[act.step(p, s)]]]
-            if g.edge_id(v, w, s) is None:
-                return False
+    try:
+        edge_multiplicities(act, pi, g)
+    except ValueError:
+        return False
     return True
 
 
@@ -290,21 +287,12 @@ def realize_minimal_neighborhood(mg: MeasuredRauzyGraph
     act0, pi = build_finite_action(mg)
     act = make_transitive(act0, pi, mg)
     base = 0
-    # eccentricity of the base point in the Schreier graph
-    dist = {base: 0}
-    frontier = [base]
-    ecc = 0
-    while frontier:
-        nxt = []
-        for p in frontier:
-            for s in act.group.letters:
-                q = act.step(p, s)
-                if q not in dist:
-                    dist[q] = dist[p] + 1
-                    ecc = max(ecc, dist[q])
-                    nxt.append(q)
-        frontier = nxt
-    radius = ecc + 1
+    # one more than the eccentricity of the base point in the Schreier
+    # graph: the depth of the last point a breadth-first search reaches
+    pred = _bfs(act.moves, (base,))
+    p, radius = next(reversed(pred)), 1
+    while pred[p] is not None:
+        p, radius = pred[p], radius + 1
     window = periodic_window(act, base, radius)
 
     vid = {v: i for i, v in enumerate(g.vertices)}

@@ -461,11 +461,8 @@ def main(argv=None) -> int:
     except VerdictFalse as exc:
         inputs, verdict, witnesses, code = {}, exc.verdict, exc.witnesses, 1
     except DocumentError as exc:
-        report = {"command": command, "inputs": {}, "verdict": "input error",
-                  "witnesses": {"error": str(exc)}}
-        print(report_text(report))
-        print(f"timings: {time.monotonic() - started:.3f}s", file=sys.stderr)
-        return 2
+        inputs, verdict, witnesses, code = ({}, "input error",
+                                            {"error": str(exc)}, 2)
     except (ValueError, CapExceededError) as exc:
         inputs, verdict, witnesses, code = {}, "error", {"error": str(exc)}, 1
     report = {"command": command, "inputs": inputs, "verdict": verdict,

@@ -14,6 +14,8 @@ from .graphs import RauzyGraph, is_connected, is_minimal
 from .measured import MeasuredRauzyGraph, integer_solution
 from .words import FreeGroup
 
+_MAX_ATTEMPTS = 10_000     # draws before a rejection sampler gives up
+
 
 def random_valid_graph(group: FreeGroup, rng: random.Random,
                        max_vertices: int, density: float = 0.35) -> RauzyGraph:
@@ -37,27 +39,25 @@ def random_valid_graph(group: FreeGroup, rng: random.Random,
 
 
 def random_minimal_graph(group: FreeGroup, rng: random.Random,
-                         max_vertices: int,
-                         max_attempts: int = 10_000) -> RauzyGraph:
+                         max_vertices: int) -> RauzyGraph:
     """Rejection-sample valid graphs until one is minimal."""
-    for _ in range(max_attempts):
+    for _ in range(_MAX_ATTEMPTS):
         g = random_valid_graph(group, rng, max_vertices)
         if is_minimal(g)[0]:
             return g
-    raise RuntimeError("no minimal graph found; raise max_attempts")
+    raise RuntimeError(f"no minimal graph in {_MAX_ATTEMPTS} draws")
 
 
 def random_measured_graph(group: FreeGroup, rng: random.Random,
-                          max_vertices: int,
-                          max_attempts: int = 10_000) -> MeasuredRauzyGraph:
+                          max_vertices: int) -> MeasuredRauzyGraph:
     """A random connected graph together with an integer full-support
     solution of its balance system, by rejection sampling."""
-    for _ in range(max_attempts):
+    for _ in range(_MAX_ATTEMPTS):
         g = random_valid_graph(group, rng, max_vertices)
         if not is_connected(g):
             continue
         mg = integer_solution(g)
         if mg is not None:
             return mg
-    raise RuntimeError("no measurable connected graph found; "
-                       "raise max_attempts")
+    raise RuntimeError(
+        f"no measurable connected graph in {_MAX_ATTEMPTS} draws")

@@ -16,7 +16,6 @@ by the least edge e, then the least f, that no reduced path joins.
 from __future__ import annotations
 
 from bisect import bisect_left
-from collections import deque
 from dataclasses import dataclass
 from itertools import combinations, permutations, product
 from typing import Hashable, Iterable, Sequence
@@ -32,7 +31,7 @@ from .patterns import (
     compatible,
     translate_pattern,
 )
-from .words import (FreeGroup, Letter, Word, _closure, inverse_letter,
+from .words import (FreeGroup, Letter, Word, _bfs, inverse_letter,
                     mul_letter)
 
 
@@ -202,23 +201,13 @@ def _shortest_path(start, targets, succ) -> list | None:
 
     Breadth first, trying successors in list order and stopping at the first
     target discovered, so ties always break the same way."""
-    if start in targets:
-        return [start]
-    parent = {start: None}
-    queue = deque([start])
-    while queue:
-        x = queue.popleft()
-        for y in succ[x]:
-            if y in parent:
-                continue
-            parent[y] = x
-            if y in targets:
-                path = [y]
-                while parent[path[-1]] is not None:
-                    path.append(parent[path[-1]])
-                return path[::-1]
-            queue.append(y)
-    return None
+    pred = _bfs(succ, (start,), targets)
+    path = [next(reversed(pred))]
+    if path[0] not in targets:
+        return None
+    while pred[path[-1]] is not None:
+        path.append(pred[path[-1]])
+    return path[::-1]
 
 
 def is_connected(g: RauzyGraph) -> bool:
@@ -226,7 +215,7 @@ def is_connected(g: RauzyGraph) -> bool:
     first, edges coming in reversed pairs (False without vertices)."""
     succ = [[g.edges[i].target for i in g.out_edges(v)]
             for v in range(len(g.vertices))]
-    return bool(succ) and len(_closure((0,), succ)) == len(succ)
+    return bool(succ) and len(_bfs(succ, (0,))) == len(succ)
 
 
 def _edge_lists(g: RauzyGraph) -> tuple[list, list, list, list]:

@@ -27,7 +27,7 @@ from .graphs import (
 )
 from .patterns import (Alphabet, Sft, WindowConfig, _neighbor_rules,
                        ball_domain)
-from .words import (EPSILON, Letter, Word, _closure, _walk_ball, inverse,
+from .words import (EPSILON, Letter, Word, _bfs, _walk_ball, inverse,
                     inverse_letter)
 
 
@@ -162,7 +162,7 @@ def reachable_range(sel: EdgeSelector) -> frozenset:
     The closure stabilizes after at most |E| rounds, so it equals the true
     range of z0 on the nonidentity elements.
     """
-    return frozenset(_closure(sel.t0, _moves(sel)))
+    return frozenset(_bfs(_moves(sel), sel.t0))
 
 
 def _distances_to(sel: EdgeSelector, core: Sequence[int]) -> list:
@@ -174,14 +174,8 @@ def _distances_to(sel: EdgeSelector, core: Sequence[int]) -> list:
         for f in row:
             back[f].append(e)
     dist = [None] * len(sel.t1)
-    queue = list(core)
-    for e in queue:
-        dist[e] = 0
-    for f in queue:
-        for e in back[f]:
-            if dist[e] is None:
-                dist[e] = dist[f] + 1
-                queue.append(e)
+    for e, f in _bfs(back, core).items():
+        dist[e] = 0 if f is None else dist[f] + 1
     return dist
 
 

@@ -290,20 +290,15 @@ def _word_names(group: FreeGroup, domain: Domain) -> tuple:
     return tuple(map(group.format_word, domain))
 
 
-def window_to_doc(group: FreeGroup, config: WindowConfig,
-                  alphabet: Alphabet | None = None) -> dict:
+def window_to_doc(group: FreeGroup, config: WindowConfig) -> dict:
     # a symbol passes _symbol or not whatever word it sits at, so each
     # distinct value is checked once
     for v in dict.fromkeys(config.values):
         _symbol(v, "window")
-    doc = {
+    return {
         "rank": group.rank,
         "values": dict(zip(_word_names(group, config.domain), config.values)),
     }
-    if alphabet is not None:
-        doc["alphabet"] = [_symbol(a, "window.alphabet")
-                           for a in alphabet]
-    return doc
 
 
 def _values_from_doc(group: FreeGroup, doc: dict, where: str) -> dict:

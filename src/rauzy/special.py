@@ -28,12 +28,10 @@ MARK = "*"
 
 def chi_window(group: FreeGroup, s0: Letter, radius: int) -> WindowConfig:
     """The indicator of <s0> restricted to B_radius (1 exactly on the powers
-    of s0)."""
-    if letter_sign(s0) != 1:
-        raise ValueError("the subgroup generator must be a positive letter")
-    return WindowConfig._of(ball_domain(group, radius), tuple(
-        1 if all(x >> 1 == s0 >> 1 for x in w) else 0
-        for w in group.ball(radius)))
+    of s0): x0_window with the marker as 1 and every letter as 0."""
+    x0 = x0_window(group, s0, radius)
+    return WindowConfig._of(x0.domain,
+                            tuple(int(a == MARK) for a in x0.values))
 
 
 def x0_window(group: FreeGroup, s0: Letter, radius: int) -> WindowConfig:

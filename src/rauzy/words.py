@@ -109,16 +109,25 @@ def _walk_ball(ball: Sequence[Word], root, table) -> dict:
     return state
 
 
-def _closure(seeds: Iterable, succ) -> set:
-    """Every node reachable from the seeds along succ[node] (seeds included)."""
-    seen = set(seeds)
-    stack = list(seen)
-    while stack:
-        for y in succ[stack.pop()]:
-            if y not in seen:
-                seen.add(y)
-                stack.append(y)
-    return seen
+def _bfs(succ, seeds: Iterable, stop=()) -> dict:
+    """Breadth-first search along succ[node] from the seeds: {node:
+    predecessor} in discovery order, each seed mapped to None, successors
+    tried in list order.  It returns as soon as it reaches a node of stop,
+    which is then the last key."""
+    pred = {}
+    for x in seeds:
+        pred[x] = None
+        if x in stop:
+            return pred
+    queue = list(pred)
+    for x in queue:
+        for y in succ[x]:
+            if y not in pred:
+                pred[y] = x
+                if y in stop:
+                    return pred
+                queue.append(y)
+    return pred
 
 
 @dataclass(frozen=True)
@@ -170,7 +179,7 @@ class FreeGroup:
             raise ValueError("connectivity is undefined for the empty set")
         succ = {w: [u for x in self.letters
                     if (u := mul_letter(w, x)) in words] for w in words}
-        return len(_closure((next(iter(words)),), succ)) == len(words)
+        return len(_bfs(succ, (next(iter(words)),))) == len(words)
 
     # -- string format: 'a'..'z' without 'e' for generators, 'A'..'Z'
     #    without 'E' for inverses, "e" for the empty word.

@@ -93,6 +93,48 @@ def components_oracle(n, pairs):
     return {frozenset(c) for c in classes.values()}
 
 
+def random_digraph(rng):
+    """Successor lists on 1-7 nodes, 0-3 successors each, with repeats and
+    loops allowed: inputs for the search oracles below."""
+    n = rng.randint(1, 7)
+    return [[rng.randrange(n) for _ in range(rng.randint(0, 3))]
+            for _ in range(n)]
+
+
+def depths_oracle(succ, seeds):
+    """{node: fewest steps along succ[node] from a seed} over the nodes
+    reachable from the seeds, by adding every successor of the reached set
+    at once, round after round, until a round adds nothing."""
+    depth = dict.fromkeys(seeds, 0)
+    rounds = 0
+    while True:
+        rounds += 1
+        step = {y for x in depth for y in succ[x]} - depth.keys()
+        if not step:
+            return depth
+        depth.update(dict.fromkeys(step, rounds))
+
+
+def least_shortest_path_oracle(succ, start, targets):
+    """Among the shortest paths along succ[node] from start into targets,
+    the one whose sequence of successor positions is lexicographically
+    least, as a node list; None if no target is reachable.  Tries every
+    position sequence, shortest first and in lexicographic order within a
+    length, up to the number of nodes."""
+    width = max(map(len, succ), default=0)
+    for length in range(len(succ)):
+        for steps in product(range(width), repeat=length):
+            path = [start]
+            for i in steps:
+                if i >= len(succ[path[-1]]):
+                    break
+                path.append(succ[path[-1]][i])
+            else:
+                if path[-1] in targets:
+                    return path
+    return None
+
+
 def balance_matrix(g):
     """The homogeneous balance system over mu(v_0..v_{n-1}) then
     m(e_0..e_{k-1}), with integer entries: a bar row m(e) - m(bar e) per

@@ -4,7 +4,7 @@ from fractions import Fraction
 
 import pytest
 
-from oracles import components_oracle
+from oracles import components_oracle, depths_oracle
 from rauzy import actions, graphs
 from rauzy.actions import FiniteAction
 from rauzy.generate import random_measured_graph
@@ -22,6 +22,18 @@ def test_build_cyc2(group2, cyc2):
     assert actions.is_projection_morphism(act, pi, cyc2)
     mult = actions.edge_multiplicities(act, pi, cyc2)
     assert all(mult[i] == mg.m[i] for i in range(len(cyc2.edges)))
+
+
+def test_projection_that_is_not_a_morphism(group2, cyc2):
+    act, pi = actions.build_finite_action(integer_solution(cyc2))
+    # both points over u: the a-edge between them has no image u -a-> u
+    collapsed = dict.fromkeys(pi, "u")
+    assert not actions.is_projection_morphism(act, collapsed, cyc2)
+    with pytest.raises(ValueError, match="not a morphism"):
+        actions.edge_multiplicities(act, collapsed, cyc2)
+    assert not graphs.is_graph_morphism(act.to_graph(), cyc2, collapsed)
+    assert not graphs.is_graph_morphism(cyc2, cyc2, {"u": "u", "v": "u"})
+    assert graphs.is_graph_morphism(cyc2, cyc2, {"u": "v", "v": "u"})
 
 
 def test_build_rose(rose2):
@@ -230,6 +242,8 @@ def test_realize_random_batch():
         assert report.complete
         assert len(actions.orbits(act)) == 1
         assert len(act) == sum(mg.mu)
+        # one more than the eccentricity of the window's base point 0
+        assert report.radius == 1 + max(depths_oracle(act.moves, [0]).values())
 
 
 # SHA-256 of the window and occurrence report that

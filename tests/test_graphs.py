@@ -6,7 +6,10 @@ import pytest
 from oracles import (
     components_oracle,
     conditions_oracle,
+    depths_oracle,
+    least_shortest_path_oracle,
     minimality_oracle,
+    random_digraph,
     symmetry_orbit,
     unreachable_pair_oracle,
 )
@@ -350,6 +353,26 @@ def test_edge_lookup(cyc2):
     bar = cyc2.edges[e.bar]
     assert bar.source == e.target and bar.target == e.source
     assert bar.label == inverse_letter(e.label)
+
+
+def test_shortest_path_is_the_least_shortest_path():
+    rng = random.Random(23)
+    long_paths = unreachable = 0
+    for _ in range(1000):
+        succ = random_digraph(rng)
+        n = len(succ)
+        start = rng.randrange(n)
+        unreached = set(range(n)) - depths_oracle(succ, [start]).keys()
+        # random targets, one target, targets holding the start, and
+        # unreachable targets
+        for targets in ({x for x in range(n) if rng.random() < 0.3},
+                        {rng.randrange(n)}, {start, rng.randrange(n)},
+                        unreached):
+            path = graphs._shortest_path(start, targets, succ)
+            assert path == least_shortest_path_oracle(succ, start, targets)
+            long_paths += path is not None and len(path) >= 3
+        unreachable += bool(unreached)
+    assert long_paths >= 30 and unreachable >= 30
 
 
 def test_is_connected_matches_union_find(group2):

@@ -3,9 +3,11 @@ import random
 
 import pytest
 
+from oracles import depths_oracle, random_digraph
 from rauzy.words import (
     EPSILON,
     FreeGroup,
+    _bfs,
     concat,
     inverse,
     inverse_letter,
@@ -112,6 +114,28 @@ def test_is_connected():
     assert group.is_connected(group.ball(2))
     with pytest.raises(ValueError):
         group.is_connected([])
+
+
+def test_bfs_against_round_by_round_reach():
+    rng = random.Random(22)
+    for _ in range(1000):
+        succ = random_digraph(rng)
+        # duplicate seeds, at most four of them
+        seeds = [rng.randrange(len(succ)) for _ in range(rng.randint(1, 4))]
+        pred = _bfs(succ, seeds)
+        depth = depths_oracle(succ, seeds)
+        assert pred.keys() == depth.keys()
+        keys = list(pred)
+        # seeds first, once each and in the given order
+        assert keys[:len(set(seeds))] == list(dict.fromkeys(seeds))
+        for y, x in pred.items():
+            if x is None:
+                assert y in seeds
+            else:
+                # a real step from a node discovered earlier, one level up
+                assert y in succ[x] and keys.index(x) < keys.index(y)
+                assert depth[y] == depth[x] + 1
+        assert [depth[y] for y in keys] == sorted(depth.values())
 
 
 def test_mul_letter_agrees_with_concat():
