@@ -62,6 +62,9 @@ def _read_doc(path: str) -> tuple[dict, str]:
         doc = json.loads(raw)
     except ValueError as exc:   # also an integer past the int-string limit
         raise DocumentError(f"{path}: invalid JSON ({exc})") from None
+    except RecursionError:
+        raise DocumentError(
+            f"{path}: invalid JSON (nested too deeply)") from None
     return doc, digest
 
 

@@ -13,11 +13,9 @@ finite scale.  Global admissibility is never claimed.
 from __future__ import annotations
 
 from functools import cached_property, lru_cache
-from itertools import product
 from typing import Iterable, Mapping, Sequence
 
-from .words import (EPSILON, FreeGroup, Word, concat, inverse, mul_letter,
-                    word_key)
+from .words import EPSILON, FreeGroup, Word, concat, inverse, word_key
 
 
 class CapExceededError(RuntimeError):
@@ -259,36 +257,40 @@ def _pattern_shape(group: FreeGroup, F: tuple) -> Domain:
     return shape
 
 
-def _placements(domain: Sequence[Word], F: Sequence[Word]) -> list:
-    """Each g with g*F inside the domain, once, as (g, g*F).
+@lru_cache(maxsize=32)
+def _gather(domain: Domain, gs: tuple, F: tuple) -> tuple:
+    """For each g of gs, the positions in `domain` of the words g*f, in F's
+    order, with None for a word outside the domain."""
+    get = domain.index.get
+    return tuple(tuple(get(concat(g, f)) for f in F) for g in gs)
 
-    Every such g is w * F[0]^-1 for exactly one w in the domain."""
-    inside = set(domain)
-    anchor_inv = inverse(F[0])
-    out = []
-    for w in domain:
-        g = concat(w, anchor_inv)
-        placed = tuple(concat(g, f) for f in F)
-        if all(x in inside for x in placed):
-            out.append((g, placed))
-    return out
+
+def _missing(gs: Sequence[Word], F: Sequence[Word], gathers: tuple) -> list:
+    """The words g*f that `gathers`, read off ``_gather(domain, gs, F)``,
+    found outside the domain, sorted by word_key."""
+    return sorted({concat(g, f) for g, idx in zip(gs, gathers)
+                   for f, k in zip(F, idx) if k is None}, key=word_key)
 
 
 @lru_cache(maxsize=32)
-def _placement_gathers(domain: Domain, F: tuple) -> tuple:
-    """(shape, gathers) for a sorted F: F as a Domain, and each placement g
-    of F inside the domain with the positions of g*F in it."""
-    index = domain.index
-    return Domain(F), tuple((g, tuple(index[x] for x in placed))
-                            for g, placed in _placements(domain.words, F))
+def _placements(domain: Domain, F: tuple) -> tuple:
+    """(shape, placements) for a sorted F: F as a Domain, and each g with
+    g*F inside the domain, once, with the positions of g*F in it.
+
+    Every such g is w * F[0]^-1 for exactly one w in the domain."""
+    anchor_inv = inverse(F[0])
+    gs = tuple(concat(w, anchor_inv) for w in domain)
+    gathers = _gather(domain, gs, F)
+    return Domain(F), tuple((g, idx) for g, idx in zip(gs, gathers)
+                            if None not in idx)
 
 
 def _patterns_at(config: WindowConfig, F: Sequence[Word]) -> dict:
     """{g: the F-pattern f -> config(g*f)} over every placement of the
     sorted F inside the config's domain."""
-    shape, gathers = _placement_gathers(config.domain, tuple(F))
+    shape, placed = _placements(config.domain, tuple(F))
     at = config.values.__getitem__
-    return {g: Pattern._of(shape, tuple(map(at, idx))) for g, idx in gathers}
+    return {g: Pattern._of(shape, tuple(map(at, idx))) for g, idx in placed}
 
 
 def _neighbor_rules(group: FreeGroup, symbols: Sequence, follow) -> list:
@@ -343,24 +345,19 @@ def enumerate_window(sft: Sft, domain: Iterable[Word],
     return tuple(out)
 
 
-@lru_cache(maxsize=32)
-def _neighbor_edges(group: FreeGroup, domain: Domain) -> tuple:
-    """(i, s, k) for each pair of domain words with word i * s = word k."""
-    index = domain.index
-    return tuple((i, s, k) for i, w in enumerate(domain.words)
-                 for s in group.letters
-                 if (k := index.get(mul_letter(w, s))) is not None)
-
-
 def is_locally_admissible(sft: Sft, config: WindowConfig) -> bool:
     """Whether no banned symbol or pair occurs inside the config, whose
     domain may be disconnected: each symbol is in first, and each symbol at
     a neighbour w*s of w is in follow[config(w), s]."""
     first, follow = sft.follow_table
     values = config.values
+    letters = sft.group.letters
+    steps = _gather(config.domain, config.domain.words,
+                    tuple((s,) for s in letters))
     return (all(v in first for v in values)
-            and all(values[k] in follow[values[i], s] for i, s, k in
-                    _neighbor_edges(sft.group, config.domain)))
+            and all(values[k] in follow[a, s]
+                    for a, idx in zip(values, steps)
+                    for s, k in zip(letters, idx) if k is not None))
 
 
 @lru_cache(maxsize=32)
@@ -375,11 +372,10 @@ def _iota_gathers(group: FreeGroup, domain: Domain, F: tuple) -> tuple:
     """
     shape = _pattern_shape(group, F)
     out = Domain.of(concat(g, f) for g in domain for f in shape)
-    pos = out.index
+    gathers = _gather(out, domain.words, shape.words)
     take = [None] * len(out)
     again, at = [], []
-    for n, (g, f) in enumerate(product(domain, shape)):
-        k = pos[concat(g, f)]
+    for n, k in enumerate(k for idx in gathers for k in idx):
         if take[k] is None:
             take[k] = n
         else:
@@ -419,13 +415,11 @@ def _window_j_gathers(group: FreeGroup, domain: Domain, F: tuple,
     the positions of target * F in `domain`."""
     shape = _pattern_shape(group, F)
     out = Domain.of(targets)
-    index = domain.index
-    missing = sorted({concat(g, f) for g in out for f in shape} - index.keys(),
-                     key=word_key)
+    gathers = _gather(domain, out.words, shape.words)
+    missing = _missing(out.words, shape.words, gathers)
     if missing:
         raise ValueError(f"config domain missing words: {missing}")
-    return shape, out, tuple(tuple(index[concat(g, f)] for f in shape)
-                             for g in out)
+    return shape, out, gathers
 
 
 def window_j(group: FreeGroup, F: Sequence[Word], config: WindowConfig,

@@ -333,6 +333,10 @@ def synthesize_recurrent(g: RauzyGraph, cycle: Sequence[int]) -> EdgeSelector:
     as an equality class, then the remaining edges attached by shortest
     reduced paths into the known set, and all still-free slots filled with
     the least admissible edge.
+
+    Raises ValueError if the graph is not minimal or the cycle is not
+    simple and reduced, and also when the cycle has no recurrent selector:
+    conditions (i) and (iv) ask one slot of T1 for two edges.
     """
     require_valid(g)
     violations = check_cycle(g, cycle)
@@ -358,7 +362,7 @@ def synthesize_recurrent(g: RauzyGraph, cycle: Sequence[int]) -> EdgeSelector:
         key = uf.find((e, s))
         old = assigned.get(key)
         if old is not None and old != f:
-            raise RuntimeError(
+            raise ValueError(
                 "conflicting recurrent constraints at "
                 f"t1[{e}][{g.group.format_letter(s)}]: {old} vs {f}")
         assigned[key] = f

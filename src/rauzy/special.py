@@ -12,16 +12,9 @@ Also here: finite return sets of a window configuration into a pattern.
 
 from __future__ import annotations
 
-from .patterns import (Alphabet, Pattern, Sft, WindowConfig, _neighbor_rules,
-                       ball_domain)
-from .words import (
-    FreeGroup,
-    Letter,
-    concat,
-    inverse_letter,
-    letter_sign,
-    word_key,
-)
+from .patterns import (Alphabet, Pattern, Sft, WindowConfig, _gather, _missing,
+                       _neighbor_rules, ball_domain)
+from .words import FreeGroup, Letter, inverse_letter, letter_sign
 
 MARK = "*"
 
@@ -86,16 +79,12 @@ def return_set(group: FreeGroup, config: WindowConfig, u: Pattern,
     The config must cover B_depth * support(u); a too-small window raises
     with the missing words named.
     """
-    domain = set(config.domain)
-    support = u.support
-    missing = sorted(
-        {concat(g, f) for g in group.ball(depth) for f in support} - domain,
-        key=word_key)
+    ball = group.ball(depth)
+    gathers = _gather(config.domain, ball, u.support)
+    missing = _missing(ball, u.support, gathers)
     if missing:
         raise ValueError(
             f"config window too small for depth {depth}: missing {missing}")
-    out = []
-    for g in group.ball(depth):
-        if all(config[concat(g, f)] == u[f] for f in support):
-            out.append(g)
-    return tuple(out)
+    at = config.values.__getitem__
+    return tuple(g for g, idx in zip(ball, gathers)
+                 if tuple(map(at, idx)) == u.values)

@@ -251,6 +251,21 @@ def placements_oracle(group, domain, F):
     return out
 
 
+def return_set_oracle(group, config, u, depth):
+    """(returns, missing): the g of B_depth with config(g*f) = u(f) for
+    every f in the support of u, and the words g*f outside the config in
+    length-then-lexicographic order, scanning each g with config.get."""
+    absent = object()
+    returns, missing = [], set()
+    for g in group.ball(depth):
+        values = [config.get(concat(g, f), absent) for f in u.support]
+        missing.update(concat(g, f) for f, v in zip(u.support, values)
+                       if v is absent)
+        if all(v == u[f] for f, v in zip(u.support, values)):
+            returns.append(g)
+    return tuple(returns), sorted(missing, key=lambda w: (len(w), w))
+
+
 def certificate_oracle(sel, cycle, window_radius, probe_length):
     """The syndetic-return check of selectors.certify_minimality, probe by
     probe: for every g0 of B_probe_length, every u of B_window_radius is

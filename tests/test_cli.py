@@ -145,6 +145,20 @@ def test_cycle_and_selector_pipeline(tmp_path, capsys, cyc2_doc):
     assert report["witnesses"]["syndeticity_gap"] <= 3
 
 
+def test_selector_synth_on_cycle_without_recurrent_selector(tmp_path,
+                                                            capsys):
+    # minimal, and the cycle is simple and reduced, but it shares edges
+    # with its reverse, and following both pins t1[7][A] to two edges
+    g = graphs.RauzyGraph.from_relations(
+        FreeGroup(2), 2, [[(0, 0), (0, 1), (1, 0)], [(0, 1), (1, 0), (1, 1)]])
+    path = write(tmp_path, "g.json", graph_to_doc(g))
+    code, report = run(capsys, "selector", "synth", path,
+                       "--cycle", "6,5,7,3,8,0,1,11")
+    assert code == 1 and report["verdict"] == "error"
+    assert report["witnesses"] == {
+        "error": "conflicting recurrent constraints at t1[7][A]: 2 vs 3"}
+
+
 def test_certify_minimal_counterexample(tmp_path, capsys, star3):
     # the star3 selector whose free base letter a is retargeted: all five
     # recurrence conditions hold, yet the return from g0 = a misses
@@ -361,6 +375,16 @@ def test_oversized_json_integer_is_an_input_error(tmp_path, capsys, cyc2_doc):
     code, report = run(capsys, "validate", str(path))
     assert code == 2 and report["verdict"] == "input error"
     assert "invalid JSON" in report["witnesses"]["error"]
+
+
+def test_deeply_nested_json_is_an_input_error(tmp_path, capsys):
+    # json.loads raises RecursionError, not ValueError, past its depth limit
+    path = tmp_path / "deep.json"
+    path.write_text("[" * 200_000 + "]" * 200_000)
+    code, report = run(capsys, "validate", str(path))
+    assert code == 2 and report["verdict"] == "input error"
+    assert report["witnesses"]["error"] == \
+        f"{path}: invalid JSON (nested too deeply)"
 
 
 @pytest.mark.parametrize("rank", [0, 26])

@@ -27,6 +27,7 @@ from rauzy.patterns import (
     restrict_language,
     translate_pattern,
     window_j,
+    _gather,
     _placements,
 )
 from rauzy.serialize import DocumentError, sft_from_doc, sft_to_doc
@@ -271,10 +272,15 @@ def test_placements_match_oracle():
                     domain.add(w)
             domain = list(domain)
             rng.shuffle(domain)
-            F = rng.sample(near, rng.randint(1, 4))
-            got = _placements(domain, F)
+            F = tuple(rng.sample(near, rng.randint(1, 4)))
+            dom = Domain.of(domain)
+            got = [(g, tuple(dom.words[k] for k in idx))
+                   for g, idx in _placements(dom, F)[1]]
             assert len({g for g, _ in got}) == len(got)
             assert sorted(got) == sorted(placements_oracle(group, domain, F))
+            index = {w: i for i, w in enumerate(dom.words)}
+            assert _gather(dom, near, F) == tuple(
+                tuple(index.get(concat(g, f)) for f in F) for g in near)
 
 
 def test_local_admissibility_matches_enumeration(group2, cyc2):

@@ -1,8 +1,12 @@
+import random
+
 import pytest
+from oracles import return_set_oracle
 
 from rauzy import selectors, special
 from rauzy.patterns import (
     Pattern,
+    WindowConfig,
     enumerate_window,
     is_locally_admissible,
     restrict_language,
@@ -96,6 +100,43 @@ def test_return_set_insufficient_window(group2):
     chi = special.chi_window(group2, 0, 1)
     with pytest.raises(ValueError, match="missing"):
         special.return_set(group2, chi, Pattern({EPSILON: 1}), 2)
+
+
+def test_return_set_matches_oracle():
+    rng = random.Random(23)
+    seen = dict.fromkeys(("identity", "no identity", "empty", "match",
+                          "miss", "too small"), 0)
+    for rank in (1, 2, 3):
+        group = FreeGroup(rank)
+        letters = list(group.letters)
+        near = group.ball(2)
+        for _ in range(60):
+            # a prefix-closed window: a ball grown by random children
+            words = set(group.ball(rng.randint(0, 2)))
+            for _ in range(rng.randrange(20)):
+                w = rng.choice(sorted(words))
+                if len(w) < 4:
+                    words.add(w + (rng.choice(
+                        [x for x in letters if not w or x != w[-1] ^ 1]),))
+            config = WindowConfig({w: rng.randint(0, 1) for w in words})
+            kind = rng.choice(("identity", "no identity", "empty"))
+            support = {"identity": {EPSILON, *rng.sample(near, 2)},
+                       "no identity": rng.sample(near[1:], rng.randint(1, 3)),
+                       "empty": ()}[kind]
+            u = Pattern({f: rng.randint(0, 1) for f in support})
+            depth = rng.randint(0, 2)
+            want, missing = return_set_oracle(group, config, u, depth)
+            seen[kind] += 1
+            if missing:
+                seen["too small"] += 1
+                with pytest.raises(ValueError) as exc:
+                    special.return_set(group, config, u, depth)
+                assert str(exc.value) == (f"config window too small for "
+                                          f"depth {depth}: missing {missing}")
+            else:
+                seen["match" if want else "miss"] += 1
+                assert special.return_set(group, config, u, depth) == want
+    assert min(seen.values()) >= 10, seen
 
 
 def test_return_set_on_selector_point(group2, cyc2):
