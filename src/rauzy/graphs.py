@@ -25,7 +25,6 @@ from .patterns import (
     Pattern,
     Sft,
     WindowLanguage,
-    _neighbor_rules,
     _patterns_at,
     _shape,
     compatible,
@@ -322,15 +321,14 @@ def _reach(adj: list, start: int) -> int:
 
 def xg_sft(g: RauzyGraph) -> Sft:
     """The SFT X(G) over the vertex alphabet: configurations are morphisms
-    from the Cayley graph, cut out by forbidding every pair (v1, s, v2)
-    with no edge v1 -s-> v2."""
+    from the Cayley graph, cut out by allowing v2 next to v1 along s only
+    for an edge v1 -s-> v2."""
     require_valid(g)
     targets: dict = {}
     for e in g.edges:
         targets.setdefault((g.vertices[e.source], e.label), set()).add(
             g.vertices[e.target])
-    pairs = _neighbor_rules(g.group, g.vertices, lambda a, s: targets[a, s])
-    return Sft(g.group, Alphabet(g.vertices), g.group.ball(1), pairs=pairs)
+    return Sft(g.group, Alphabet(g.vertices), g.group.ball(1), allowed=targets)
 
 
 def pattern_graph(group: FreeGroup, alphabet: Alphabet,

@@ -2,12 +2,12 @@
 
 A pattern is a finite partial coloring of the group: a map from a finite set
 of reduced words to alphabet symbols.  Every SFT is one-step: it bans
-symbols a and triples (a, s, b), the patterns {eps: a} and {eps: a, s: b};
-wider supports F recode to the vertex SFT of ``graphs.pattern_graph`` over
-F through ``iota``/``window_j``.  Everything here is local:
-``enumerate_window`` produces the *locally admissible* colorings of a
-finite domain (no ban occurs inside it), which is all that is decidable at
-finite scale.  Global admissibility is never claimed.
+symbols a, and holds per symbol a and letter s the set of symbols allowed
+at w*s next to a at w; wider supports F recode to the vertex SFT of
+``graphs.pattern_graph`` over F through ``iota``/``window_j``.  Everything
+here is local: ``enumerate_window`` produces the *locally admissible*
+colorings of a finite domain (no ban occurs inside it), which is all that
+is decidable at finite scale.  Global admissibility is never claimed.
 """
 
 from __future__ import annotations
@@ -190,28 +190,47 @@ class WindowLanguage:
 
 class Sft:
     """A one-step SFT over a defining window: no symbol of `banned` occurs,
-    nor any triple (a, s, b) of `pairs`, b at w*s next to a at w.  Each
-    letter s of a triple has (s,) in the window, which may be larger."""
+    and b sits at w*s next to a at w only if b is in allowed[a, s]; a key
+    that is absent allows every symbol.  Each key letter s has (s,) in the
+    window, which may be larger."""
 
     def __init__(self, group: FreeGroup, alphabet: Alphabet,
                  window: Iterable[Word], banned: Iterable = (),
-                 pairs: Iterable[tuple] = ()):
+                 allowed: Mapping = {}):
         self.group = group
         self.alphabet = alphabet
         self.window = frozenset(window)
         self.banned = frozenset(banned)
-        self.pairs = frozenset(pairs)
+        self.allowed = {key: frozenset(bs) for key, bs in allowed.items()}
         if EPSILON not in self.window:
             raise ValueError("defining window must contain the identity")
+        for a in self.banned:
+            if a not in alphabet:
+                raise ValueError(f"banned symbol {a!r} is not in the alphabet")
+        for a, s in self.allowed:
+            if a not in alphabet:
+                raise ValueError(f"rule symbol {a!r} is not in the alphabet")
+            if (s,) not in self.window:
+                raise ValueError(f"rule letter {group.format_letter(s)} is "
+                                 "not one step inside the defining window")
+
+    @property
+    def pairs(self) -> frozenset:
+        """The rule triples (a, s, b): each symbol b outside allowed[a, s]."""
+        return frozenset((a, s, b) for (a, s), ok in self.allowed.items()
+                         for b in self.alphabet.symbols if b not in ok)
 
     @cached_property
     def follow_table(self) -> tuple:
         """(first, follow), built once: the symbols not banned at a site,
         and follow[a, s] for a in first: in alphabet order, the symbols b
-        of first such that neither (a, s, b) nor (b, s^-1, a) is a rule."""
-        pairs = self.pairs | {(b, s ^ 1, a) for a, s, b in self.pairs}
+        of first with b in allowed[a, s] and a in allowed[b, s^-1]."""
         first = tuple(a for a in self.alphabet.symbols if a not in self.banned)
-        follow = {(a, s): tuple(b for b in first if (a, s, b) not in pairs)
+        rank = {a: i for i, a in enumerate(first)}
+        get = self.allowed.get      # an absent key allows all of first
+        follow = {(a, s): tuple(sorted(
+            (b for b in get((a, s), rank)
+             if b in rank and a in get((b, s ^ 1), rank)), key=rank.get))
                   for a in first for s in self.group.letters}
         return first, follow
 
@@ -293,17 +312,6 @@ def _patterns_at(config: WindowConfig, F: Sequence[Word]) -> dict:
     return {g: Pattern._of(shape, tuple(map(at, idx))) for g, idx in placed}
 
 
-def _neighbor_rules(group: FreeGroup, symbols: Sequence, follow) -> list:
-    """The rule "b may follow a along s" as the triples (a, s, b) over
-    `symbols` with b outside the set follow(a, s)."""
-    out = []
-    for s in group.letters:
-        for a in symbols:
-            allowed = follow(a, s)
-            out += [(a, s, b) for b in symbols if b not in allowed]
-    return out
-
-
 def enumerate_window(sft: Sft, domain: Iterable[Word],
                      cap: int = 10_000_000) -> tuple:
     """All locally admissible colorings of `domain`, in deterministic order.
@@ -347,11 +355,11 @@ def enumerate_window(sft: Sft, domain: Iterable[Word],
 
 def is_locally_admissible(sft: Sft, config: WindowConfig) -> bool:
     """Whether no banned symbol or pair occurs inside the config, whose
-    domain may be disconnected: each symbol is in first, and each symbol at
-    a neighbour w*s of w is in follow[config(w), s]."""
+    domain may be disconnected: each symbol is in first, and for positive s
+    (follow is symmetric) each symbol at w*s is in follow[config(w), s]."""
     first, follow = sft.follow_table
     values = config.values
-    letters = sft.group.letters
+    letters = sft.group.letters[::2]
     steps = _gather(config.domain, config.domain.words,
                     tuple((s,) for s in letters))
     return (all(v in first for v in values)
@@ -445,23 +453,21 @@ def tag_symbol(tag: str, symbol) -> str:
 def disjoint_union(x: Sft, y: Sft) -> Sft:
     """The SFT of the disjoint union of two subshifts over tagged alphabets.
 
-    Beyond the tagged copies of both rule sets, it forbids every neighbour
-    pair whose symbols carry different tags, which pins each configuration
-    inside one of the two alphabets.
+    Each tagged symbol allows only tagged copies of the symbols its own side
+    allows (that side's whole alphabet for an absent key), which pins each
+    configuration inside one of the two alphabets.
     """
     if x.group != y.group:
         raise ValueError("disjoint union needs a common group")
     group = x.group
-    left = [tag_symbol("L", a) for a in x.alphabet]
-    right = [tag_symbol("R", b) for b in y.alphabet]
-    same_tag = dict.fromkeys(left, set(left)) | dict.fromkeys(right, set(right))
     tagged = (("L", x), ("R", y))
+    symbols = [tag_symbol(tag, a) for tag, z in tagged for a in z.alphabet]
     banned = [tag_symbol(tag, a) for tag, z in tagged for a in z.banned]
-    pairs = [(tag_symbol(tag, a), s, tag_symbol(tag, b))
-             for tag, z in tagged for a, s, b in z.pairs]
-    pairs += _neighbor_rules(group, left + right, lambda a, s: same_tag[a])
+    allowed = {(tag_symbol(tag, a), s): [tag_symbol(tag, b) for b in
+                                         z.allowed.get((a, s), z.alphabet)]
+               for tag, z in tagged for a in z.alphabet for s in group.letters}
     window = x.window | y.window | set(group.ball(1))
-    return Sft(group, Alphabet(left + right), window, banned, pairs)
+    return Sft(group, Alphabet(symbols), window, banned, allowed)
 
 
 def restrict_language(configs: Iterable[WindowConfig],

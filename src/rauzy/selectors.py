@@ -25,8 +25,7 @@ from .graphs import (
     is_minimal,
     require_valid,
 )
-from .patterns import (Alphabet, Sft, WindowConfig, _neighbor_rules,
-                       ball_domain)
+from .patterns import Alphabet, Sft, WindowConfig, ball_domain
 from .words import (EPSILON, Letter, Word, _bfs, _walk_ball, inverse,
                     inverse_letter)
 
@@ -232,9 +231,11 @@ def sofic_witness(sel: EdgeSelector) -> SoficWitness:
             return {edge_symbol(sel.t1[e][s])}
         return enters.get((e, le), {STAR})
 
+    # no rule names a banned symbol, so each allowed set holds them all
     banned = [edge_symbol(i) for i in range(len(g.edges)) if i not in reach]
-    pairs = _neighbor_rules(group, [STAR, *range_symbols], follow)
-    sft = Sft(group, alphabet, group.ball(1), banned, pairs)
+    allowed = {(a, s): follow(a, s).union(banned)
+               for a in [STAR, *range_symbols] for s in group.letters}
+    sft = Sft(group, alphabet, group.ball(1), banned, allowed)
     return SoficWitness(sft, phi, sel, reach)
 
 

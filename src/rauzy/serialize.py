@@ -11,11 +11,11 @@ in-memory values, and emitting a parsed document reproduces it.
 from __future__ import annotations
 
 import re
+from collections import defaultdict
 from fractions import Fraction
 from functools import lru_cache
 from itertools import chain
 from json.encoder import JSONEncoder, c_make_encoder, encode_basestring_ascii
-from operator import itemgetter
 from typing import Any
 
 from .actions import FiniteAction
@@ -326,25 +326,18 @@ def pattern_from_doc(group: FreeGroup, doc: dict) -> Pattern:
 
 def sft_to_doc(sft: Sft) -> dict:
     """The SFT with its rules as forbidden patterns, ordered by repr(a):
-    the ban {e: a} first, then a's pairs {e: a, s: b} by s and repr(b)."""
+    the ban {e: a} first, then per letter s the pairs {e: a, s: b} with b
+    outside allowed[a, s], by repr(b)."""
     group = sft.group
     names = [group.format_letter(s) for s in group.letters]
-    # the alphabet and any symbol a rule names outside it (Sft does not
-    # check), ranked by repr once; the rules are then ordered by ranks
-    order = sorted(set(sft.alphabet.symbols).union(
-        sft.banned, map(itemgetter(0), sft.pairs),
-        map(itemgetter(2), sft.pairs)), key=repr)
-    rank = {a: i for i, a in enumerate(order)}
-    rows = [[[] for _ in names] for _ in order]   # rank of a, s -> ranks of b
-    for a, s, b in sft.pairs:
-        rows[rank[a]][s].append(rank[b])
+    order = sorted(sft.alphabet.symbols, key=repr)
     forbidden = []
-    for a, row in zip(order, rows):
+    for a in order:
         if a in sft.banned:
             forbidden.append({"e": a})
-        for name, bs in zip(names, row):
-            bs.sort()
-            forbidden += [{"e": a, name: order[j]} for j in bs]
+        for s, name in enumerate(names):
+            ok = sft.allowed.get((a, s), sft.alphabet)
+            forbidden += [{"e": a, name: b} for b in order if b not in ok]
     return {
         "rank": group.rank,
         "alphabet": [_symbol(a, "sft.alphabet")
@@ -372,7 +365,7 @@ def sft_from_doc(doc: dict) -> Sft:
         raise DocumentError("sft.forbidden: must be a list of patterns")
     steps = {(EPSILON,)} | {(EPSILON, w) for w in window if len(w) == 1}
     symbols = set(alphabet)
-    banned, pairs = [], []
+    banned, named = [], defaultdict(set)  # named[a, s]: b of {e: a, s: b}
     for i, v in enumerate(forbidden_doc):
         values = _values_from_doc(group, {"values": v}, "pattern")
         support = tuple(sorted(values, key=word_key))
@@ -386,9 +379,10 @@ def sft_from_doc(doc: dict) -> Sft:
         if len(support) == 1:
             banned.append(values[EPSILON])
         else:
-            pairs.append((values[EPSILON], support[1][0], values[support[1]]))
+            named[values[EPSILON], support[1][0]].add(values[support[1]])
+    allowed = {key: symbols - bs for key, bs in named.items()}
     try:
-        return Sft(group, Alphabet(alphabet), window, banned, pairs)
+        return Sft(group, Alphabet(alphabet), window, banned, allowed)
     except ValueError as exc:
         raise DocumentError(f"sft: {exc}") from None
 

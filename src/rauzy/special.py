@@ -13,7 +13,7 @@ Also here: finite return sets of a window configuration into a pattern.
 from __future__ import annotations
 
 from .patterns import (Alphabet, Pattern, Sft, WindowConfig, _gather, _missing,
-                       _neighbor_rules, ball_domain)
+                       ball_domain)
 from .words import FreeGroup, Letter, inverse_letter, letter_sign
 
 MARK = "*"
@@ -61,8 +61,8 @@ def special_symbol_sft(group: FreeGroup, s0: Letter) -> tuple[Sft, dict]:
             return symbols
         return {group.format_letter(t)}
 
-    pairs = _neighbor_rules(group, symbols, follow)
-    sft = Sft(group, Alphabet(symbols), group.ball(1), pairs=pairs)
+    allowed = {(a, t): follow(a, t) for a in symbols for t in group.letters}
+    sft = Sft(group, Alphabet(symbols), group.ball(1), allowed=allowed)
     return sft, {a: int(a == MARK) for a in symbols}
 
 

@@ -238,6 +238,17 @@ def phase1_oracle(rows, n_cols):
     return x
 
 
+def follow_table_oracle(sft):
+    """(first, follow) by the forbidden-triple definition: the unbanned
+    symbols in alphabet order, and follow[a, s] the b of first such that
+    neither (a, s, b) nor (b, s^-1, a) is a triple of sft.pairs."""
+    pairs = sft.pairs | {(b, s ^ 1, a) for a, s, b in sft.pairs}
+    first = tuple(a for a in sft.alphabet.symbols if a not in sft.banned)
+    follow = {(a, s): tuple(b for b in first if (a, s, b) not in pairs)
+              for a in first for s in sft.group.letters}
+    return first, follow
+
+
 def placements_oracle(group, domain, F):
     """Every g with g*F inside the domain, as (g, g*F), by trying each g in
     a ball that covers every w*f^-1 with w in the domain and f in F."""

@@ -6,7 +6,7 @@ import random
 import re
 
 import pytest
-from oracles import placements_oracle
+from oracles import follow_table_oracle, placements_oracle
 
 from rauzy import actions, graphs, selectors, special
 from rauzy.actions import FiniteAction
@@ -108,7 +108,7 @@ def test_enumerate_window_cyc2_brute_force(group2, cyc2):
 def test_enumerate_window_is_antitone(group2, cyc2):
     sft = graphs.xg_sft(cyc2)
     # adding rules never adds configs
-    extra = Sft(group2, sft.alphabet, sft.window, {"u"}, sft.pairs)
+    extra = Sft(group2, sft.alphabet, sft.window, {"u"}, sft.allowed)
     small = enumerate_window(extra, group2.ball(2))
     assert set(small) <= set(enumerate_window(sft, group2.ball(2)))
     # growing the domain never adds restrictions
@@ -320,9 +320,9 @@ def _random_one_step_sft(rng, group):
     banned = [a for a in symbols if rng.random() < 0.3]
     quiet = set(banned[:1]) if rng.random() < 0.5 else set()
     ruled = [a for a in symbols if a not in quiet]
-    pairs = [(a, s, b) for s in group.letters
-             for a in ruled for b in ruled if rng.random() < 0.35]
-    return Sft(group, Alphabet(symbols), group.ball(1), banned, pairs)
+    allowed = {(a, s): set(symbols) - {b for b in ruled if rng.random() < 0.35}
+               for s in group.letters for a in ruled}
+    return Sft(group, Alphabet(symbols), group.ball(1), banned, allowed)
 
 
 def _admissibility_oracle(group, sft, domain):
@@ -352,6 +352,10 @@ def test_one_step_sfts_match_placement_oracle():
         for _ in range(25):
             sft = _random_one_step_sft(rng, group)
             symbols = sft.alphabet.symbols
+            first, follow = sft.follow_table
+            assert (first, follow) == follow_table_oracle(sft)
+            assert all((b in follow[a, s]) == (a in follow[b, s ^ 1])
+                       for a in first for b in first for s in letters)
             # a domain containing eps and connected in the Cayley tree
             size = next(n for n in range(9, 0, -1)
                         if len(symbols) ** n <= 512)
@@ -379,6 +383,51 @@ def test_one_step_sfts_match_placement_oracle():
 def test_sft_window_invariants(group2):
     with pytest.raises(ValueError):
         Sft(group2, Alphabet([0]), [(0,)])   # window without identity
+
+
+# rules that sft_to_doc, which walks the alphabet, would silently drop
+OUTSIDE_RULES = {
+    "banned": (["z"], {}, "banned symbol 'z' is not in the alphabet"),
+    "key-symbol": ([], {("z", 0): {0}},
+                   "rule symbol 'z' is not in the alphabet"),
+    "key-letter": ([], {(0, 2): {0}}, "rule letter b is not one step "
+                   "inside the defining window"),
+}
+
+
+@pytest.mark.parametrize("banned, allowed, message", OUTSIDE_RULES.values(),
+                         ids=OUTSIDE_RULES.keys())
+def test_sft_refuses_rules_outside_alphabet_or_window(group2, banned,
+                                                      allowed, message):
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+        Sft(group2, Alphabet([0, 1]), [EPSILON, (0,), (1,)], banned, allowed)
+
+
+SFT_DOC_REFUSALS = {
+    "alphabet-empty": ({"alphabet": []},
+                       "sft.alphabet: must be a nonempty list"),
+    "alphabet-not-list": ({"alphabet": "01"},
+                          "sft.alphabet: must be a nonempty list"),
+    "window-not-list": ({"window": "e"},
+                        "sft.window: must be a list of words"),
+    "forbidden-not-list": ({"forbidden": {"e": 0}},
+                           "sft.forbidden: must be a list of patterns"),
+    "rule-not-object": ({"forbidden": [["e", 0]]},
+                        "pattern.values: must map words to symbols"),
+    "symbol-float": ({"alphabet": [0, 1.5]}, "sft.alphabet[1]: symbol 1.5 "
+                     "is not a string or an integer"),
+    "symbol-null": ({"alphabet": [None]}, "sft.alphabet[0]: symbol None "
+                    "is not a string or an integer"),
+}
+
+
+@pytest.mark.parametrize("change, message", SFT_DOC_REFUSALS.values(),
+                         ids=SFT_DOC_REFUSALS.keys())
+def test_sft_document_refusals(change, message):
+    doc = {"rank": 2, "alphabet": [0, 1], "window": ["e", "a"],
+           "forbidden": [{"e": 0, "a": 1}]}
+    with pytest.raises(DocumentError, match=f"^{re.escape(message)}$"):
+        sft_from_doc(doc | change)
 
 
 WIDE_SUPPORTS = {"e,a,b": ["e", "a", "b"], "e,ab": ["e", "ab"], "a": ["a"]}
@@ -445,7 +494,10 @@ def test_sft_documents_round_trip_exactly():
                      for b in ruled if rng.random() < 0.3}
             if banned and letters:
                 pairs.add((min(banned, key=repr), letters[0], ruled[0]))
-            sft = Sft(group, Alphabet(symbols), window, banned, pairs)
+            sft = Sft(group, Alphabet(symbols), window, banned,
+                      {(a, s): set(symbols) - {b for x, t, b in pairs
+                                               if (x, t) == (a, s)}
+                       for a, s, _ in pairs})
             doc = sft_to_doc(sft)
             listing = _documented_listing(group, banned, pairs)
             assert json.dumps(doc["forbidden"]) == json.dumps(listing)

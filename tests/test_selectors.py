@@ -1,6 +1,7 @@
 import dataclasses
 import hashlib
 import random
+import tracemalloc
 
 import pytest
 
@@ -528,6 +529,22 @@ def test_sofic_witness_projection_inside_vertex_sft(group2, cyc2_selector):
     vertex_sft = graphs.xg_sft(sel.graph)
     for c in enumerate_window(wit.sft, group2.ball(2)):
         assert is_locally_admissible(vertex_sft, wit.project(c))
+
+
+def test_sofic_witness_stores_rules_linear_in_edges(group2):
+    """At |E| = 1,024 the cover holds at most 2(|E|+1)*2d allowed entries
+    within 20 MB, where the forbidden complement has 4,195,328 triples."""
+    g = schreier(group2, 256)
+    sel = selectors.synthesize_recurrent(g, selectors.find_cycle(g, 0))
+    tracemalloc.start()
+    try:
+        wit = selectors.sofic_witness(sel)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert len(g.edges) == 1024
+    assert sum(map(len, wit.sft.allowed.values())) <= 2 * (1024 + 1) * 4
+    assert peak < 20 * 2 ** 20
 
 
 def test_sofic_witness_nondeterministic_graph(group2, star3):
