@@ -22,6 +22,10 @@ from .patterns import CapExceededError, enumerate_window
 from .selectors import MinimalityCertificate
 from .serialize import (
     DocumentError,
+    _index_of,
+    _is_object,
+    _made,
+    _need,
     action_from_doc,
     action_to_doc,
     action_to_dot,
@@ -73,10 +77,10 @@ def _bare_graph(doc):
     return g.graph if isinstance(g, MeasuredRauzyGraph) else g
 
 
-def _measured_graph(doc) -> MeasuredRauzyGraph:
+def _measured_graph(doc, need="this command needs mu/m weights"):
     g = graph_from_doc(doc)
     if not isinstance(g, MeasuredRauzyGraph):
-        raise DocumentError("graph: this command needs mu/m weights")
+        raise DocumentError(f"graph: {need}")
     return g
 
 
@@ -171,7 +175,7 @@ def _parse_cycle_arg(text, g):
         cycle = tuple(int(x) for x in text.split(","))
     except ValueError:
         raise DocumentError("--cycle: must be comma-separated edge indices")
-    if not all(0 <= e < len(g.edges) for e in cycle):
+    if not all(map(_index_of(len(g.edges)), cycle)):
         raise DocumentError("--cycle: edge index out of range")
     bad = selectors.check_cycle(g, cycle)
     if bad:
@@ -229,14 +233,11 @@ def cmd_certify_minimal(args):
 
 def cmd_measure_solve(args):
     doc, digest = _read_doc(args.graph)
-    parsed = graph_from_doc(doc)
     if args.hint:
-        if not isinstance(parsed, MeasuredRauzyGraph):
-            raise DocumentError("graph: --hint needs mu/m in the document")
-        solution = measured.integer_solution(parsed.graph, parsed)
+        mg = _measured_graph(doc, "--hint needs mu/m in the document")
+        solution = measured.integer_solution(mg.graph, mg)
     else:
-        g = parsed.graph if isinstance(parsed, MeasuredRauzyGraph) else parsed
-        solution = measured.integer_solution(g)
+        solution = measured.integer_solution(_bare_graph(doc))
     if solution is None:
         return ({"graph": digest}, "no full-support solution", {}, False)
     return ({"graph": digest}, "ok",
@@ -263,8 +264,8 @@ def cmd_finite_action(args):
 
 def cmd_fiber_product(args):
     doc, digest = _read_doc(args.spec)
-    left = action_from_doc(_spec_part(doc, "left"))
-    right = action_from_doc(_spec_part(doc, "right"))
+    left = action_from_doc(_need(doc, "left", "spec", strict=False))
+    right = action_from_doc(_need(doc, "right", "spec", strict=False))
     f1 = _spec_map(doc, "f1", left)
     f2 = _spec_map(doc, "f2", right)
     prod, pr1, pr2 = actions.fiber_product(left, right, f1, f2)
@@ -276,34 +277,15 @@ def cmd_fiber_product(args):
             True)
 
 
-def _spec_part(doc, key):
-    if not isinstance(doc, dict) or key not in doc:
-        raise DocumentError(f"spec.{key}: missing")
-    return doc[key]
-
-
 def _spec_map(doc, key, act):
-    raw = _spec_part(doc, key)
-    if not isinstance(raw, dict):
-        raise DocumentError(f"spec.{key}: must map point names")
-    out = {}
-    for p in act.points:
-        if p not in raw:
-            raise DocumentError(f"spec.{key}.{p}: missing")
-        out[p] = raw[p]
-    return out
-
-
-def _rank_group(rank: int) -> FreeGroup:
-    try:
-        return FreeGroup(rank)
-    except ValueError as exc:
-        raise DocumentError(f"--rank: {exc}") from None
+    raw = _need(doc, key, "spec", "must map point names", _is_object,
+                strict=False)
+    return {p: _need(raw, p, f"spec.{key}") for p in act.points}
 
 
 def cmd_special_symbol(args):
     _nonnegative(args, "radius")
-    group = _rank_group(args.rank)
+    group = _made("--rank", FreeGroup, args.rank)
     s0 = group.parse_letter(args.gen)
     if s0 & 1:
         raise DocumentError("--gen: must be a positive generator")
@@ -335,7 +317,7 @@ def cmd_return_set(args):
 
 def cmd_search_condition_witness(args):
     _nonnegative(args, "max_vertices")
-    group = _rank_group(args.rank)
+    group = _made("--rank", FreeGroup, args.rank)
     found = graphs.find_condition_witnesses(group, args.max_vertices)
     wit = {}
     for key, g in found.items():

@@ -214,12 +214,6 @@ class Sft:
                 raise ValueError(f"rule letter {group.format_letter(s)} is "
                                  "not one step inside the defining window")
 
-    @property
-    def pairs(self) -> frozenset:
-        """The rule triples (a, s, b): each symbol b outside allowed[a, s]."""
-        return frozenset((a, s, b) for (a, s), ok in self.allowed.items()
-                         for b in self.alphabet.symbols if b not in ok)
-
     @cached_property
     def follow_table(self) -> tuple:
         """(first, follow), built once: the symbols not banned at a site,

@@ -3,9 +3,16 @@
 One document shape per object kind; words are letter strings ("abA", "e"
 for the identity), rationals are JSON integers or "p"/"p/q" strings of
 decimal integers with an optional sign, vertices and points are named by
-strings.  Parsing is strict: any malformed field raises
-DocumentError naming its location.  Emitted documents re-parse to equal
-in-memory values, and emitting a parsed document reproduces it.
+strings.  Emitted documents re-parse to equal in-memory values, and
+emitting a parsed document reproduces it.
+
+Reading is strict.  Every field is read by one reader, `_need`: a required
+key of an object, refused unless a test of its value holds, such as
+`_list_of` (a list of one kind) or `_index_of` (an index into a list);
+words, rationals and symbols have their own readers.  A refusal is a
+DocumentError "<location>: <reason>", the location being the document's
+name and one ".key" or "[i]" per step into it, as in
+"graph.edges[3].bar: must index an edge".
 """
 
 from __future__ import annotations
@@ -16,7 +23,6 @@ from fractions import Fraction
 from functools import lru_cache
 from itertools import chain
 from json.encoder import JSONEncoder, c_make_encoder, encode_basestring_ascii
-from typing import Any
 
 from .actions import FiniteAction
 from .graphs import Edge, RauzyGraph
@@ -30,48 +36,89 @@ class DocumentError(ValueError):
     """A malformed document, with the offending location in the message."""
 
 
-def _need(doc: dict, key: str, where: str):
-    if not isinstance(doc, dict):
-        raise DocumentError(f"{where}: expected an object")
-    if key not in doc:
+# -- field readers
+
+def _need(doc, key, where: str, reason: str = "", ok=None,
+          strict: bool = True):
+    """doc[key], refused at where.key for `reason`, {!r} standing for the
+    value, unless ok(it) holds; a value that ok cannot take, such as an
+    unhashable one, fails.  A doc that is not an object is refused at
+    where, or with strict=False as one without the key."""
+    if not isinstance(doc, dict) or key not in doc:
+        if strict and not isinstance(doc, dict):
+            raise DocumentError(f"{where}: expected an object")
         raise DocumentError(f"{where}.{key}: missing")
-    return doc[key]
-
-
-def _is_int(x) -> bool:
-    """Whether x is a JSON integer (true and false are not)."""
-    return type(x) is int
-
-
-def _group(doc: dict, where: str) -> FreeGroup:
-    rank = _need(doc, "rank", where)
-    if not _is_int(rank) or rank < 1:
-        raise DocumentError(f"{where}.rank: must be a positive integer")
+    x = doc[key]
+    if ok is None:
+        return x
     try:
-        return FreeGroup(rank)
-    except ValueError as exc:
-        raise DocumentError(f"{where}.rank: {exc}") from None
+        if ok(x):
+            return x
+    except TypeError:
+        pass
+    raise DocumentError(f"{where}.{key}: {reason.format(x)}")
 
 
-def _parse_word(group: FreeGroup, s: Any, where: str):
+def _list_of(item=None, size=None):
+    """A test that a value is a list of `size` items (any number if None),
+    each passing `item`."""
+    return lambda xs: (isinstance(xs, list)
+                       and (size is None or len(xs) == size)
+                       and (item is None or all(map(item, xs))))
+
+
+def _index_of(n: int):
+    """A test that a value is an index into a list of n."""
+    return lambda x: type(x) is int and 0 <= x < n
+
+
+def _is_name(x) -> bool:
+    return isinstance(x, str)
+
+
+def _is_object(x) -> bool:
+    return isinstance(x, dict)
+
+
+def _is_char(x) -> bool:
+    return isinstance(x, str) and len(x) == 1
+
+
+def _made(where: str, make, *args):
+    """make(*args), refused at where if it raises a ValueError."""
+    try:
+        return make(*args)
+    except (ValueError, ZeroDivisionError) as exc:
+        raise DocumentError(f"{where}: {exc}") from None
+
+
+def _word(group: FreeGroup, s, where: str):
     if not isinstance(s, str):
         raise DocumentError(f"{where}: words must be strings")
-    try:
-        return group.parse_word(s)
-    except ValueError as exc:
-        raise DocumentError(f"{where}: {exc}") from None
+    return _made(where, group.parse_word, s)
 
 
 _RATIONAL = re.compile(r"[+-]?[0-9]+(/[0-9]+)?")
 
 
-def _parse_fraction(s: Any, where: str) -> Fraction:
-    if not (_is_int(s) or isinstance(s, str) and _RATIONAL.fullmatch(s)):
+def _rational(s, where: str) -> Fraction:
+    if not (type(s) is int or isinstance(s, str) and _RATIONAL.fullmatch(s)):
         raise DocumentError(f"{where}: rationals must be 'p/q' strings")
-    try:
-        return Fraction(s)
-    except (ValueError, ZeroDivisionError) as exc:
-        raise DocumentError(f"{where}: {exc}") from None
+    return _made(where, Fraction, s)
+
+
+def _symbol(v, where: str):
+    """A window, pattern or alphabet symbol, read or written: a string or a
+    JSON integer."""
+    if isinstance(v, str) or type(v) is int:
+        return v
+    raise DocumentError(f"{where}: symbol {v!r} is not a string or an integer")
+
+
+def _group(doc, where: str) -> FreeGroup:
+    rank = _need(doc, "rank", where, "must be a positive integer",
+                 lambda r: type(r) is int and r >= 1)
+    return _made(f"{where}.rank", FreeGroup, rank)
 
 
 def format_fraction(x) -> str:
@@ -112,58 +159,43 @@ def graph_from_doc(doc: dict) -> RauzyGraph | MeasuredRauzyGraph:
     """Parse a graph document; returns a MeasuredRauzyGraph when the
     document carries weights, else a bare RauzyGraph."""
     group = _group(doc, "graph")
-    vertices = _need(doc, "vertices", "graph")
-    if (not isinstance(vertices, list)
-            or not all(isinstance(v, str) for v in vertices)):
-        raise DocumentError("graph.vertices: must be a list of names")
+    vertices = _need(doc, "vertices", "graph", "must be a list of names",
+                     _list_of(_is_name))
     if len(set(vertices)) != len(vertices):
         raise DocumentError("graph.vertices: duplicate names")
     vid = {v: i for i, v in enumerate(vertices)}
-    edges_doc = _need(doc, "edges", "graph")
-    if not isinstance(edges_doc, list):
-        raise DocumentError("graph.edges: must be a list")
+    edges_doc = _need(doc, "edges", "graph", "must be a list", _list_of())
+    letters = {group.format_letter(x): x for x in group.letters}
+    is_vertex, is_bar = vid.__contains__, _index_of(len(edges_doc))
     edges = []
     for i, ed in enumerate(edges_doc):
         where = f"graph.edges[{i}]"
-        src = _need(ed, "source", where)
-        rng = _need(ed, "range", where)
-        lab = _need(ed, "label", where)
-        bar = _need(ed, "bar", where)
-        if src not in vid:
-            raise DocumentError(f"{where}.source: unknown vertex {src!r}")
-        if rng not in vid:
-            raise DocumentError(f"{where}.range: unknown vertex {rng!r}")
-        if not isinstance(lab, str) or len(lab) != 1:
-            raise DocumentError(f"{where}.label: must be a single letter")
         try:
-            letter = group.parse_letter(lab)
-        except ValueError as exc:
-            raise DocumentError(f"{where}.label: {exc}") from None
-        if not _is_int(bar) or not 0 <= bar < len(edges_doc):
-            raise DocumentError(f"{where}.bar: must index an edge")
+            src = _need(ed, "source", where, "unknown vertex {!r}", is_vertex)
+            rng = _need(ed, "range", where, "unknown vertex {!r}", is_vertex)
+            lab = _need(ed, "label", where, "must be a single letter",
+                        _is_char)
+            letter = letters[lab] if lab in letters else _made(
+                f"{where}.label", group.parse_letter, lab)  # it refuses
+            bar = _need(ed, "bar", where, "must index an edge", is_bar)
+        except DocumentError:
+            for key in ("source", "range", "label", "bar"):
+                _need(ed, key, where)   # a missing key is named first
+            raise
         edges.append(Edge(vid[src], vid[rng], letter, bar))
-    try:
-        graph = RauzyGraph(group, vertices, edges)
-    except ValueError as exc:
-        raise DocumentError(f"graph: {exc}") from None
+    graph = RauzyGraph(group, vertices, edges)
     if "mu" not in doc and "m" not in doc:
         return graph
-    mu_doc = _need(doc, "mu", "graph")
-    m_doc = _need(doc, "m", "graph")
-    if not isinstance(mu_doc, dict):
-        raise DocumentError("graph.mu: must map vertex names to rationals")
-    if not isinstance(m_doc, list) or len(m_doc) != len(edges):
-        raise DocumentError("graph.m: must list one rational per edge")
-    mu = []
-    for v in vertices:
-        if v not in mu_doc:
-            raise DocumentError(f"graph.mu.{v}: missing")
-        mu.append(_parse_fraction(mu_doc[v], f"graph.mu.{v}"))
-    m = [_parse_fraction(x, f"graph.m[{i}]") for i, x in enumerate(m_doc)]
-    try:
-        return MeasuredRauzyGraph(graph, tuple(mu), tuple(m))
-    except ValueError as exc:
-        raise DocumentError(f"graph: {exc}") from None
+    for key in ("mu", "m"):
+        _need(doc, key, "graph")
+    mu_doc = _need(doc, "mu", "graph", "must map vertex names to rationals",
+                   _is_object)
+    m_doc = _need(doc, "m", "graph", "must list one rational per edge",
+                  _list_of(size=len(edges)))
+    mu = [_rational(_need(mu_doc, v, "graph.mu"), f"graph.mu.{v}")
+          for v in vertices]
+    m = [_rational(x, f"graph.m[{i}]") for i, x in enumerate(m_doc)]
+    return _made("graph", MeasuredRauzyGraph, graph, tuple(mu), tuple(m))
 
 
 # -- selectors
@@ -186,45 +218,29 @@ def selector_from_doc(doc: dict) -> tuple[EdgeSelector, tuple | None]:
     graph = graph_from_doc(_need(doc, "graph", "selector"))
     if isinstance(graph, MeasuredRauzyGraph):
         graph = graph.graph
-    group = graph.group
-    v0_name = _need(doc, "v0", "selector")
-    if v0_name not in graph.vertices:
-        raise DocumentError(f"selector.v0: unknown vertex {v0_name!r}")
-    v0 = graph.vertices.index(v0_name)
+    n = len(graph.edges)
+    v0 = graph.vertices.index(_need(doc, "v0", "selector",
+                                    "unknown vertex {!r}",
+                                    graph.vertices.__contains__))
     t0_doc = _need(doc, "t0", "selector")
-    t1_doc = _need(doc, "t1", "selector")
-    if not isinstance(t1_doc, list) or len(t1_doc) != len(graph.edges):
-        raise DocumentError("selector.t1: must list one row per edge")
+    t1_doc = _need(doc, "t1", "selector", "must list one row per edge",
+                   _list_of(size=n))
+    names = [graph.group.format_letter(s) for s in graph.group.letters]
+    is_edge = _index_of(n)
 
     def edge_row(row, where):
         """One edge index per letter, as t0 and every t1 row hold them."""
-        out = []
-        for s in group.letters:
-            c = group.format_letter(s)
-            if not isinstance(row, dict) or c not in row:
-                raise DocumentError(f"{where}.{c}: missing")
-            x = row[c]
-            if not _is_int(x) or not 0 <= x < len(graph.edges):
-                raise DocumentError(f"{where}.{c}: must index an edge")
-            out.append(x)
-        return tuple(out)
+        return tuple([_need(row, c, where, "must index an edge", is_edge,
+                            strict=False) for c in names])
 
     t0 = edge_row(t0_doc, "selector.t0")
     t1 = tuple(edge_row(row, f"selector.t1[{i}]")
                for i, row in enumerate(t1_doc))
-    try:
-        sel = EdgeSelector(graph, v0, t0, t1)
-    except ValueError as exc:
-        raise DocumentError(f"selector: {exc}") from None
-    cycle = None
-    if "cycle" in doc:
-        cyc = doc["cycle"]
-        if (not isinstance(cyc, list)
-                or not all(_is_int(e) and 0 <= e < len(graph.edges)
-                           for e in cyc)):
-            raise DocumentError("selector.cycle: must list edge indices")
-        cycle = tuple(cyc)
-    return sel, cycle
+    sel = _made("selector", EdgeSelector, graph, v0, t0, t1)
+    if "cycle" not in doc:
+        return sel, None
+    return sel, tuple(_need(doc, "cycle", "selector", "must list edge indices",
+                            _list_of(is_edge)))
 
 
 # -- actions
@@ -251,38 +267,18 @@ def action_to_doc(act: FiniteAction) -> dict:
 
 def action_from_doc(doc: dict) -> FiniteAction:
     group = _group(doc, "action")
-    points = _need(doc, "points", "action")
-    if (not isinstance(points, list)
-            or not all(isinstance(p, str) for p in points)):
-        raise DocumentError("action.points: must be a list of names")
-    perms_doc = _need(doc, "perms", "action")
-    walks = []
-    for i in range(group.rank):
-        c = group.format_letter(2 * i)
-        if not isinstance(perms_doc, dict) or c not in perms_doc:
-            raise DocumentError(f"action.perms.{c}: missing")
-        w = perms_doc[c]
-        if (not isinstance(w, list) or len(w) != len(points)
-                or not all(_is_int(x) and 0 <= x < len(points)
-                           for x in w)):
-            raise DocumentError(
-                f"action.perms.{c}: must be a permutation as an index list")
-        walks.append(w)
-    try:
-        return FiniteAction(group, points, walks)
-    except ValueError as exc:
-        raise DocumentError(f"action: {exc}") from None
+    points = _need(doc, "points", "action", "must be a list of names",
+                   _list_of(_is_name))
+    perms = _need(doc, "perms", "action")
+    is_walk = _list_of(_index_of(len(points)), len(points))
+    walks = [_need(perms, group.format_letter(2 * i), "action.perms",
+                   "must be a permutation as an index list", is_walk,
+                   strict=False)
+             for i in range(group.rank)]
+    return _made("action", FiniteAction, group, points, walks)
 
 
 # -- windows, patterns, SFTs
-
-def _symbol(v, where: str):
-    """A window, pattern or alphabet symbol, read or written: a string or a
-    JSON integer."""
-    if isinstance(v, str) or _is_int(v):
-        return v
-    raise DocumentError(f"{where}: symbol {v!r} is not a string or an integer")
-
 
 @lru_cache(maxsize=8)
 def _word_names(group: FreeGroup, domain: Domain) -> tuple:
@@ -301,27 +297,29 @@ def window_to_doc(group: FreeGroup, config: WindowConfig) -> dict:
     }
 
 
-def _values_from_doc(group: FreeGroup, doc: dict, where: str) -> dict:
-    """The word -> symbol map under a window's or pattern's "values"."""
-    values = _need(doc, "values", where)
+def _values(group: FreeGroup, values, where: str) -> dict:
+    """A map of words to symbols, as a window's or pattern's "values" and
+    each forbidden entry of an SFT hold it."""
     if not isinstance(values, dict):
-        raise DocumentError(f"{where}.values: must map words to symbols")
+        raise DocumentError(f"{where}: must map words to symbols")
     out = {}
     for k, v in values.items():
-        w = _parse_word(group, k, f"{where}.values.{k}")
+        w = _word(group, k, f"{where}.{k}")
         if w in out:
-            raise DocumentError(f"{where}.values.{k}: duplicate word")
-        out[w] = _symbol(v, f"{where}.values.{k}")
+            raise DocumentError(f"{where}.{k}: duplicate word")
+        out[w] = _symbol(v, f"{where}.{k}")
     return out
 
 
 def window_from_doc(doc: dict) -> tuple[FreeGroup, WindowConfig]:
     group = _group(doc, "window")
-    return group, WindowConfig(_values_from_doc(group, doc, "window"))
+    values = _need(doc, "values", "window")
+    return group, WindowConfig(_values(group, values, "window.values"))
 
 
 def pattern_from_doc(group: FreeGroup, doc: dict) -> Pattern:
-    return Pattern(_values_from_doc(group, doc, "pattern"))
+    return Pattern(_values(group, _need(doc, "values", "pattern"),
+                           "pattern.values"))
 
 
 def sft_to_doc(sft: Sft) -> dict:
@@ -348,43 +346,59 @@ def sft_to_doc(sft: Sft) -> dict:
     }
 
 
+def _rule(group: FreeGroup, rule, where: str, steps, symbols) -> tuple:
+    """A forbidden entry read key by key, as (the key naming the identity,
+    (the key naming the letter s, s) or None for a ban)."""
+    words = list(_values(group, rule, where))
+    support = sorted(words, key=word_key)
+    if tuple(support) not in steps:
+        raise DocumentError(f"sft: forbidden support {support} is not one "
+                            "step inside the defining window")
+    for v in rule.values():
+        if v not in symbols:
+            raise DocumentError(f"{where}: symbol {v!r} is not in the "
+                                "alphabet")
+    key = dict(zip(words, rule))
+    if len(support) == 1:
+        return key[EPSILON], None
+    return key[EPSILON], (key[support[1]], support[1][0])
+
+
+_SYMBOL_TYPES = frozenset({str, int})
+
+
 def sft_from_doc(doc: dict) -> Sft:
+    """Read an SFT document.  A forbidden entry is a ban {e: a} or a pair
+    {e: a, s: b}, and the b's of the pairs of (a, s) are left out of
+    allowed[a, s].  Only the first entry with given keys is read key by
+    key; a later one costs a few set operations."""
     group = _group(doc, "sft")
-    alphabet_doc = _need(doc, "alphabet", "sft")
-    if not isinstance(alphabet_doc, list) or not alphabet_doc:
-        raise DocumentError("sft.alphabet: must be a nonempty list")
-    alphabet = [_symbol(a, f"sft.alphabet[{i}]")
-                for i, a in enumerate(alphabet_doc)]
-    window_doc = _need(doc, "window", "sft")
-    if not isinstance(window_doc, list):
-        raise DocumentError("sft.window: must be a list of words")
-    window = [_parse_word(group, w, f"sft.window[{i}]")
-              for i, w in enumerate(window_doc)]
-    forbidden_doc = _need(doc, "forbidden", "sft")
-    if not isinstance(forbidden_doc, list):
-        raise DocumentError("sft.forbidden: must be a list of patterns")
+    alphabet = [_symbol(a, f"sft.alphabet[{i}]") for i, a in enumerate(
+        _need(doc, "alphabet", "sft", "must be a nonempty list",
+              lambda xs: isinstance(xs, list) and len(xs) > 0))]
+    window = [_word(group, w, f"sft.window[{i}]") for i, w in enumerate(
+        _need(doc, "window", "sft", "must be a list of words", _list_of()))]
+    rules = _need(doc, "forbidden", "sft", "must be a list of patterns",
+                  _list_of())
     steps = {(EPSILON,)} | {(EPSILON, w) for w in window if len(w) == 1}
     symbols = set(alphabet)
+    shapes = {}     # the keys of an entry read before -> _rule of it
     banned, named = [], defaultdict(set)  # named[a, s]: b of {e: a, s: b}
-    for i, v in enumerate(forbidden_doc):
-        values = _values_from_doc(group, {"values": v}, "pattern")
-        support = tuple(sorted(values, key=word_key))
-        if support not in steps:
-            raise DocumentError(f"sft: forbidden support {list(support)} is "
-                                "not one step inside the defining window")
-        for a in values.values():
-            if a not in symbols:
-                raise DocumentError(f"sft.forbidden[{i}]: symbol {a!r} is "
-                                    "not in the alphabet")
-        if len(support) == 1:
-            banned.append(values[EPSILON])
+    for i, rule in enumerate(rules):
+        keys = tuple(rule) if isinstance(rule, dict) else None
+        if keys not in shapes or not (
+                _SYMBOL_TYPES.issuperset(map(type, rule.values()))
+                and symbols.issuperset(rule.values())):
+            shapes[keys] = _rule(group, rule, f"sft.forbidden[{i}]", steps,
+                                 symbols)
+        e, pair = shapes[keys]
+        if pair is None:
+            banned.append(rule[e])
         else:
-            named[values[EPSILON], support[1][0]].add(values[support[1]])
+            named[rule[e], pair[1]].add(rule[pair[0]])
     allowed = {key: symbols - bs for key, bs in named.items()}
-    try:
-        return Sft(group, Alphabet(alphabet), window, banned, allowed)
-    except ValueError as exc:
-        raise DocumentError(f"sft: {exc}") from None
+    return _made("sft", lambda: Sft(group, Alphabet(alphabet), window,
+                                    banned, allowed))
 
 
 # -- reports

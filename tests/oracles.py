@@ -238,11 +238,19 @@ def phase1_oracle(rows, n_cols):
     return x
 
 
+def sft_pairs(sft) -> frozenset:
+    """The rule triples (a, s, b) of an SFT: each symbol b outside
+    allowed[a, s]."""
+    return frozenset((a, s, b) for (a, s), ok in sft.allowed.items()
+                     for b in sft.alphabet.symbols if b not in ok)
+
+
 def follow_table_oracle(sft):
     """(first, follow) by the forbidden-triple definition: the unbanned
     symbols in alphabet order, and follow[a, s] the b of first such that
-    neither (a, s, b) nor (b, s^-1, a) is a triple of sft.pairs."""
-    pairs = sft.pairs | {(b, s ^ 1, a) for a, s, b in sft.pairs}
+    neither (a, s, b) nor (b, s^-1, a) is a triple of sft_pairs(sft)."""
+    pairs = sft_pairs(sft)
+    pairs |= {(b, s ^ 1, a) for a, s, b in pairs}
     first = tuple(a for a in sft.alphabet.symbols if a not in sft.banned)
     follow = {(a, s): tuple(b for b in first if (a, s, b) not in pairs)
               for a in first for s in sft.group.letters}

@@ -6,7 +6,7 @@ import random
 import re
 
 import pytest
-from oracles import follow_table_oracle, placements_oracle
+from oracles import follow_table_oracle, placements_oracle, sft_pairs
 
 from rauzy import actions, graphs, selectors, special
 from rauzy.actions import FiniteAction
@@ -331,7 +331,7 @@ def _admissibility_oracle(group, sft, domain):
     placement of its support, the placements coming from the brute-force
     placement oracle."""
     forbidden = [Pattern({EPSILON: a}) for a in sft.banned]
-    forbidden += [Pattern({EPSILON: a, (s,): b}) for a, s, b in sft.pairs]
+    forbidden += [Pattern({EPSILON: a, (s,): b}) for a, s, b in sft_pairs(sft)]
     placements = {}
     spots = []
     for p in forbidden:
@@ -413,7 +413,7 @@ SFT_DOC_REFUSALS = {
     "forbidden-not-list": ({"forbidden": {"e": 0}},
                            "sft.forbidden: must be a list of patterns"),
     "rule-not-object": ({"forbidden": [["e", 0]]},
-                        "pattern.values: must map words to symbols"),
+                        "sft.forbidden[0]: must map words to symbols"),
     "symbol-float": ({"alphabet": [0, 1.5]}, "sft.alphabet[1]: symbol 1.5 "
                      "is not a string or an integer"),
     "symbol-null": ({"alphabet": [None]}, "sft.alphabet[0]: symbol None "
@@ -505,8 +505,8 @@ def test_sft_documents_round_trip_exactly():
                                      sorted(set(window), key=word_key)]
             text = json.dumps(doc)
             again = sft_from_doc(json.loads(text))
-            assert (again.banned, again.pairs, again.window) == \
-                (sft.banned, sft.pairs, sft.window)
+            assert (again.banned, sft_pairs(again), again.window) == \
+                (sft.banned, sft_pairs(sft), sft.window)
             assert json.dumps(sft_to_doc(again)) == text
 
 
