@@ -254,9 +254,9 @@ def periodic_window(act: FiniteAction, base: int, radius: int) -> WindowConfig:
     """The Schreier coding of a point on B_radius: the value at g is the
     point reached by walking the letters of g from the base (the shift
     convention: the g-value is the inverse translate's class)."""
-    state = _walk_ball(act.group.ball(radius), base, act.moves)
+    state = _walk_ball(act.group.rank, radius, base, act.moves)
     return WindowConfig._of(ball_domain(act.group, radius),
-                            tuple(act.points[p] for p in state.values()))
+                            tuple(map(act.points.__getitem__, state)))
 
 
 @dataclass(frozen=True)
@@ -300,8 +300,7 @@ def realize_minimal_neighborhood(mg: MeasuredRauzyGraph
     edges_seen = set()
     idx = {p: i for i, p in enumerate(act.points)}
     # B_{radius-1} is a prefix of B_radius in canonical order
-    for point in window.values[:act.group.ball_size(radius - 1)]:
-        p = idx[point]
+    for p in map(idx.get, window.values[:act.group.ball_size(radius - 1)]):
         v = vid[pi[act.points[p]]]
         vertices_seen.add(v)
         for s in act.group.letters:

@@ -310,22 +310,20 @@ def enumerate_window(sft: Sft, domain: Iterable[Word],
                      cap: int = 10_000_000) -> tuple:
     """All locally admissible colorings of `domain`, in deterministic order.
 
-    Depth-first backtracking in the canonical ball order.  The domain is a
-    subtree of the Cayley tree, so a word w meets the words colored before
-    it only at its parent w[:-1], and its candidates are follow[parent's
-    symbol, w[-1]]: one step per search-tree node, not |A| tuple checks.
-    Every config shares one Domain.  Raises CapExceededError if more than
-    `cap` configs would be produced.
+    Depth-first backtracking in the canonical ball order.  Words with the
+    identity are connected in the Cayley tree iff each one's parent w[:-1]
+    is among them, so a word meets the words colored before it only at its
+    parent, and its candidates are follow[parent's symbol, w[-1]]: one
+    step per search-tree node.  Every config shares one Domain.  Raises
+    CapExceededError if more than `cap` configs would be produced.
     """
     dom = Domain.of(domain)
     order = dom.words
     if not order or order[0] != EPSILON:
         raise ValueError("domain must contain the identity")
-    group = sft.group
-    if not group.is_connected(order):
+    parent = [dom.index.get(w[:-1]) for w in order]
+    if None in parent or any(w[-1] not in sft.group.letters for w in order[1:]):
         raise ValueError("domain must be connected in the Cayley graph")
-    pos = dom.index
-    parent = [pos[w[:-1]] for w in order]
     n = len(order)
     first, follow = sft.follow_table
     make = WindowConfig._of

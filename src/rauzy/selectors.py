@@ -15,6 +15,7 @@ return of every bounded translate.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import islice
 from typing import Sequence
 
 from .graphs import (
@@ -26,7 +27,7 @@ from .graphs import (
     require_valid,
 )
 from .patterns import Alphabet, Sft, WindowConfig, ball_domain
-from .words import (EPSILON, Letter, Word, _bfs, _walk_ball, inverse,
+from .words import (Letter, Word, _ball, _bfs, _walk_ball, inverse,
                     inverse_letter)
 
 
@@ -109,10 +110,10 @@ def x_t(sel: EdgeSelector, w: Word) -> int:
     return sel.graph.edges[e].target
 
 
-def _walk_edges(sel: EdgeSelector, radius: int) -> dict:
-    """The edge T1(T0(w[0]), w[1:]) at each word w of B_radius; the identity
-    gets len(t1), the index of the extra row that stands for it (T0)."""
-    return _walk_ball(sel.graph.group.ball(radius), len(sel.t1),
+def _walk_edges(sel: EdgeSelector, radius: int) -> list:
+    """The edge T1(T0(w[0]), w[1:]) at each position of B_radius; the
+    identity gets len(t1), the index of the extra row standing for T0."""
+    return _walk_ball(sel.graph.group.rank, radius, len(sel.t1),
                       sel.t1 + (sel.t0,))
 
 
@@ -120,8 +121,8 @@ def _edge_window(sel: EdgeSelector, radius: int, values) -> WindowConfig:
     """The window on B_radius with values[e] at each word whose walk ends
     at edge e (e = len(t1) at the identity)."""
     return WindowConfig._of(ball_domain(sel.graph.group, radius),
-                            tuple(values[e] for e in
-                                  _walk_edges(sel, radius).values()))
+                            tuple(map(values.__getitem__,
+                                      _walk_edges(sel, radius))))
 
 
 def x_t_window(sel: EdgeSelector, radius: int) -> WindowConfig:
@@ -575,13 +576,11 @@ def certify_minimality(sel: EdgeSelector, cycle: Sequence[int],
     returns = _return_words(sel, cycle)
     max_return = max(len(w) for w, _ in returns.values())
 
-    # the window ball by position: base vertex, then parent position and
-    # last letter (a placeholder at the identity, which is always undone)
-    ball_m = g.group.ball(window_radius)
+    # the window ball by position; the identity's step is always undone
+    window = ball_domain(g.group, window_radius)
+    _, parent, last = _ball(g.group.rank, window_radius)
     targets = [e.target for e in g.edges] + [sel.v0]
-    base = [targets[e] for e in _walk_edges(sel, window_radius).values()]
-    at = {u: i for i, u in enumerate(ball_m)}
-    steps = [(0, 0)] + [(at[u[:-1]], u[-1]) for u in ball_m[1:]]
+    base = [targets[e] for e in _walk_edges(sel, window_radius)]
 
     def first_miss(e: int, r: Word) -> tuple | None:
         """(position of the first bad u, vertex got there) for the walks
@@ -591,13 +590,13 @@ def certify_minimality(sel: EdgeSelector, cycle: Sequence[int],
             path.append(sel.t1[path[-1]][x])
         # u = inverse of the last j letters of r, so r * u = r[:m - j]
         m = len(r)
-        undo = {at[inverse(r[m - j:])]: path[m - j]
+        undo = {window.index[inverse(r[m - j:])]: path[m - j]
                 for j in range(window_radius + 1)}
         state = []
-        for i, (parent, x) in enumerate(steps):
+        for i, (p, x) in enumerate(zip(parent, last)):
             f = undo.get(i)
             if f is None:
-                f = sel.t1[state[parent]][x]
+                f = sel.t1[state[p]][x]
             if targets[f] != base[i]:
                 return i, targets[f]
             state.append(f)
@@ -605,14 +604,11 @@ def certify_minimality(sel: EdgeSelector, cycle: Sequence[int],
 
     checked: dict = {}   # edge -> (r, first miss)
     gap = 0
-    probes = 0
-    for g0, e in _walk_edges(sel, probe_length).items():
-        probes += 1
-        if g0 == EPSILON:
-            # the identity lies in every return set; the cycle-power return
-            # element only agrees at the center for general recurrent
-            # selectors, so it cannot be used here
-            continue
+    probes = g.group.ball(probe_length)
+    # the identity lies in every return set; the cycle-power return element
+    # only agrees at the center for general recurrent selectors, so the
+    # identity probe is skipped
+    for g0, e in islice(zip(probes, _walk_edges(sel, probe_length)), 1, None):
         if e not in checked:
             w1, which = returns[e]
             r = w1[:-1] + bodies[which] * k
@@ -622,6 +618,7 @@ def certify_minimality(sel: EdgeSelector, cycle: Sequence[int],
         if miss is not None:
             i, got = miss
             return MinimalityCounterexample(
-                g0, g0 + r, ball_m[i], g.vertices[base[i]], g.vertices[got])
+                g0, g0 + r, window.words[i], g.vertices[base[i]],
+                g.vertices[got])
     return MinimalityCertificate(
-        window_radius, probe_length, probes, gap, n, k, max_return)
+        window_radius, probe_length, len(probes), gap, n, k, max_return)

@@ -155,47 +155,47 @@ def measured_to_doc(mg: MeasuredRauzyGraph) -> dict:
     return graph_to_doc(mg.graph, mg)
 
 
-def graph_from_doc(doc: dict) -> RauzyGraph | MeasuredRauzyGraph:
-    """Parse a graph document; returns a MeasuredRauzyGraph when the
-    document carries weights, else a bare RauzyGraph."""
-    group = _group(doc, "graph")
-    vertices = _need(doc, "vertices", "graph", "must be a list of names",
+def graph_from_doc(doc: dict, where: str = "graph"
+                   ) -> RauzyGraph | MeasuredRauzyGraph:
+    """Parse a graph document located at `where`; returns a MeasuredRauzyGraph
+    when the document carries weights, else a bare RauzyGraph."""
+    group = _group(doc, where)
+    vertices = _need(doc, "vertices", where, "must be a list of names",
                      _list_of(_is_name))
     if len(set(vertices)) != len(vertices):
-        raise DocumentError("graph.vertices: duplicate names")
+        raise DocumentError(f"{where}.vertices: duplicate names")
     vid = {v: i for i, v in enumerate(vertices)}
-    edges_doc = _need(doc, "edges", "graph", "must be a list", _list_of())
+    edges_doc = _need(doc, "edges", where, "must be a list", _list_of())
     letters = {group.format_letter(x): x for x in group.letters}
     is_vertex, is_bar = vid.__contains__, _index_of(len(edges_doc))
     edges = []
     for i, ed in enumerate(edges_doc):
-        where = f"graph.edges[{i}]"
+        at = f"{where}.edges[{i}]"
         try:
-            src = _need(ed, "source", where, "unknown vertex {!r}", is_vertex)
-            rng = _need(ed, "range", where, "unknown vertex {!r}", is_vertex)
-            lab = _need(ed, "label", where, "must be a single letter",
-                        _is_char)
+            src = _need(ed, "source", at, "unknown vertex {!r}", is_vertex)
+            rng = _need(ed, "range", at, "unknown vertex {!r}", is_vertex)
+            lab = _need(ed, "label", at, "must be a single letter", _is_char)
             letter = letters[lab] if lab in letters else _made(
-                f"{where}.label", group.parse_letter, lab)  # it refuses
-            bar = _need(ed, "bar", where, "must index an edge", is_bar)
+                f"{at}.label", group.parse_letter, lab)  # it refuses
+            bar = _need(ed, "bar", at, "must index an edge", is_bar)
         except DocumentError:
             for key in ("source", "range", "label", "bar"):
-                _need(ed, key, where)   # a missing key is named first
+                _need(ed, key, at)   # a missing key is named first
             raise
         edges.append(Edge(vid[src], vid[rng], letter, bar))
     graph = RauzyGraph(group, vertices, edges)
     if "mu" not in doc and "m" not in doc:
         return graph
     for key in ("mu", "m"):
-        _need(doc, key, "graph")
-    mu_doc = _need(doc, "mu", "graph", "must map vertex names to rationals",
+        _need(doc, key, where)
+    mu_doc = _need(doc, "mu", where, "must map vertex names to rationals",
                    _is_object)
-    m_doc = _need(doc, "m", "graph", "must list one rational per edge",
+    m_doc = _need(doc, "m", where, "must list one rational per edge",
                   _list_of(size=len(edges)))
-    mu = [_rational(_need(mu_doc, v, "graph.mu"), f"graph.mu.{v}")
+    mu = [_rational(_need(mu_doc, v, f"{where}.mu"), f"{where}.mu.{v}")
           for v in vertices]
-    m = [_rational(x, f"graph.m[{i}]") for i, x in enumerate(m_doc)]
-    return _made("graph", MeasuredRauzyGraph, graph, tuple(mu), tuple(m))
+    m = [_rational(x, f"{where}.m[{i}]") for i, x in enumerate(m_doc)]
+    return _made(where, MeasuredRauzyGraph, graph, tuple(mu), tuple(m))
 
 
 # -- selectors
@@ -215,7 +215,7 @@ def selector_to_doc(sel: EdgeSelector, cycle=None) -> dict:
 
 
 def selector_from_doc(doc: dict) -> tuple[EdgeSelector, tuple | None]:
-    graph = graph_from_doc(_need(doc, "graph", "selector"))
+    graph = graph_from_doc(_need(doc, "graph", "selector"), "selector.graph")
     if isinstance(graph, MeasuredRauzyGraph):
         graph = graph.graph
     n = len(graph.edges)
@@ -352,7 +352,7 @@ def _rule(group: FreeGroup, rule, where: str, steps, symbols) -> tuple:
     words = list(_values(group, rule, where))
     support = sorted(words, key=word_key)
     if tuple(support) not in steps:
-        raise DocumentError(f"sft: forbidden support {support} is not one "
+        raise DocumentError(f"{where}: forbidden support {support} is not one "
                             "step inside the defining window")
     for v in rule.values():
         if v not in symbols:

@@ -6,13 +6,18 @@ ints: generator i is ``2*i``, its inverse is ``2*i + 1``.  That makes
 (generator index, then sign) used everywhere for deterministic enumeration.
 Words are plain tuples of letters, always stored reduced; the empty tuple is
 the identity.
+
+The ball B_k is kept as a Cayley tree: ``_ball`` gives, per position, the
+position of w[:-1] and the letter w[-1], and every automaton walk over a
+ball (x_T, z0, Schreier codings, certificates) reads these, not words.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import lru_cache
-from typing import Iterable, Sequence
+from itertools import islice
+from typing import Iterable
 
 Letter = int
 Word = tuple  # tuple[Letter, ...], reduced
@@ -85,27 +90,31 @@ def word_key(w: Word) -> tuple:
 
 @lru_cache(maxsize=None)
 def _ball(rank: int, k: int) -> tuple:
+    """(words, parent, last) of B_k: the words in canonical order, the
+    position parent[i] of words[i][:-1] and the letter last[i] =
+    words[i][-1] (both 0 at the identity), read off as each word of sphere
+    k-1 is extended by every letter that does not cancel."""
     if k == 0:
-        return (EPSILON,)
-    prev = _ball(rank, k - 1)
-    start = len(_ball(rank, k - 2)) if k >= 2 else 0
+        return (EPSILON,), (0,), (0,)
+    prev, parent, last = _ball(rank, k - 1)
+    sphere = range(len(_ball(rank, k - 2)[0]) if k >= 2 else 0, len(prev))
+    # per last letter b, the letters that do not cancel it; all at k = 1
     letters = range(2 * rank)
-    out = list(prev)
-    for w in prev[start:]:
-        last = w[-1] ^ 1 if w else -1
-        for x in letters:
-            if x != last:
-                out.append(w + (x,))
-    return tuple(out)
+    rows = ([[x for x in letters if x != b ^ 1] for b in letters]
+            if k > 1 else [letters])
+    return (prev + tuple([prev[i] + (x,)
+                          for i in sphere for x in rows[last[i]]]),
+            parent + tuple([i for i in sphere for _ in rows[last[i]]]),
+            last + tuple([x for i in sphere for x in rows[last[i]]]))
 
 
-def _walk_ball(ball: Sequence[Word], root, table) -> dict:
-    """The state of a deterministic automaton after reading each word of a
-    prefix-closed ball in canonical order: `root` at the identity, and
-    table[state][x] after appending the letter x."""
-    state = {EPSILON: root}
-    for w in ball[1:]:
-        state[w] = table[state[w[:-1]]][w[-1]]
+def _walk_ball(rank: int, radius: int, root, table) -> list:
+    """The state of an automaton at each position i of B_radius: `root`
+    at the identity, else table[state at parent[i]][last[i]]."""
+    _, parent, last = _ball(rank, radius)
+    state = [root]
+    for p, x in islice(zip(parent, last), 1, None):
+        state.append(table[state[p]][x])
     return state
 
 
@@ -151,18 +160,14 @@ class FreeGroup:
         return range(2 * self.rank)
 
     def ball(self, k: int) -> tuple:
-        """B_k: all reduced words of length <= k, in canonical order.
-
-        The order is by length then lexicographic, so it is prefix-closed.
-        """
+        """B_k: all reduced words of length <= k, in canonical order (by
+        length then lexicographic, so it is prefix-closed)."""
         if k < 0:
             raise ValueError("radius must be non-negative")
-        return _ball(self.rank, k)
+        return _ball(self.rank, k)[0]
 
     def sphere(self, k: int) -> tuple:
-        if k == 0:
-            return (EPSILON,)
-        return self.ball(k)[len(self.ball(k - 1)):]
+        return self.ball(k)[self.ball_size(k - 1) if k else 0:]
 
     def ball_size(self, k: int) -> int:
         """Closed formula |B_k| = 1 + 2d ((2d-1)^k - 1)/(2d-2) for d >= 2."""

@@ -1,5 +1,6 @@
 import hashlib
 import random
+import tracemalloc
 from fractions import Fraction
 
 import pytest
@@ -9,8 +10,8 @@ from rauzy import actions, graphs
 from rauzy.actions import FiniteAction
 from rauzy.generate import random_measured_graph
 from rauzy.measured import MeasuredRauzyGraph, integer_solution
-from rauzy.patterns import is_locally_admissible, restrict_language
-from rauzy.words import EPSILON, FreeGroup
+from rauzy.patterns import ball_domain, is_locally_admissible, restrict_language
+from rauzy.words import EPSILON, FreeGroup, _ball
 
 
 def test_build_cyc2(group2, cyc2):
@@ -187,6 +188,23 @@ def test_periodic_window_alternates(group2):
     assert win[(2,)] == "x0"
 
 
+@pytest.mark.parametrize("rank", [2, 3])
+def test_periodic_window_follows_steps_at_rank(rank):
+    group = FreeGroup(rank)
+    rng = random.Random(31 + rank)
+    ball = group.ball(4)
+    for _ in range(10):
+        act = _random_action(group, rng)
+        base = rng.randrange(len(act))
+        win = actions.periodic_window(act, base, 4)
+        assert win.domain.words == ball
+        for w in ball:
+            p = base
+            for s in w:
+                p = act.step(p, s)
+            assert win[w] == act.points[p]
+
+
 def test_periodic_window_follows_walks_and_inverses(group2):
     rng = random.Random(12)
     ball = group2.ball(5)
@@ -244,6 +262,29 @@ def test_realize_random_batch():
         assert len(act) == sum(mg.mu)
         # one more than the eccentricity of the window's base point 0
         assert report.radius == 1 + max(depths_oracle(act.moves, [0]).values())
+
+
+def test_periodic_window_keeps_states_by_position(cyc2):
+    """The 20-point two_cycle action on B_11 (354,293 words) walks the
+    ball's tree index: a list of states and the window's values, 5.5 MiB
+    at peak, where a walk keyed by word peaked at 32.7 MiB."""
+    mg = integer_solution(cyc2)
+    mg = MeasuredRauzyGraph(cyc2, tuple(10 * x for x in mg.mu),
+                            tuple(10 * x for x in mg.m))
+    act = actions.make_transitive(*actions.build_finite_action(mg), mg)
+    try:
+        assert len(act) == 20 and len(act.group.ball(11)) == 354_293
+        tracemalloc.start()
+        try:
+            window = actions.periodic_window(act, 0, 11)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert len(window) == 354_293
+        assert peak < 8 * 2 ** 20
+    finally:
+        _ball.cache_clear()
+        ball_domain.cache_clear()
 
 
 # SHA-256 of the window and occurrence report that

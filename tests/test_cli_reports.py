@@ -3,13 +3,17 @@
 For every leaf of `build_parser()`, one run that exits 0 and one that does
 not, on two_cycle, three_star, letter_flow and a seeded 8-vertex Schreier
 graph.  Each report's stdout is pinned by its SHA-256, so a refactor that
-moves a single byte of any report fails here.
+moves a single byte of any report fails here.  The ok reports that the
+benchmark's library-free checks (`perfbench/verify.py`) cover are also
+passed through those checks, so a digest cannot pin a wrong report.
 """
 
 import argparse
 import hashlib
+import importlib.util
 import json
 import random
+from pathlib import Path
 
 import pytest
 
@@ -232,3 +236,51 @@ def test_report_is_pinned(argv_fields, capsys, case):
     out = capsys.readouterr().out
     assert json.loads(out)["command"] == case[0]
     assert hashlib.sha256(out.encode()).hexdigest() == REPORT_SHA256[case]
+
+
+def _load_verify():
+    """perfbench/verify.py as it stands; it never imports rauzy."""
+    path = Path(__file__).resolve().parents[1] / "perfbench" / "verify.py"
+    spec = importlib.util.spec_from_file_location("perfbench_verify", path)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+def _sofic_check(v, report, doc, run):
+    # the witness is checked against z0, which an expand run of the same
+    # selector gives and which is itself checked first
+    sel = doc("star_sel")
+    g = v.Graph(sel["graph"])
+    z0 = v.expansion(g, sel, run("selector expand {star_sel} --radius 2"), 2)
+    v.sofic(g, sel, report, z0)
+
+
+# leaf command -> check(verify, report of its ok case, doc(name), run(argv)),
+# with the sizes of the ok case in CASES
+VERIFY_CHECKS = {
+    "xg-window": lambda v, r, doc, run: v.configs(v.Graph(doc("flow")), r, 2),
+    "selector expand": lambda v, r, doc, run: v.expansion(
+        v.Graph(doc("s8")), doc("s8_sel"), r, 2),
+    "certify-minimal": lambda v, r, doc, run: v.certificate(
+        r, v.Graph(doc("s8")), doc("s8_sel"), 3, 4),
+    "sofic-witness": _sofic_check,
+    "finite-action": lambda v, r, doc, run: v.action(
+        v.Graph(doc("star3")), doc("m_star3"), r),
+    "special-symbol": lambda v, r, doc, run: v.marker(r, 1),
+    "return-set": lambda v, r, doc, run: v.returns(r, 2),
+}
+
+
+@pytest.mark.parametrize("leaf", sorted(VERIFY_CHECKS))
+def test_ok_report_passes_the_benchmark_check(argv_fields, capsys, leaf):
+    def doc(name):
+        return json.loads(Path(argv_fields[name]).read_text())
+
+    def run(template):
+        assert main(template.format(**argv_fields).split()) == 0
+        return json.loads(capsys.readouterr().out)
+
+    template, expected_code = CASES[leaf, "ok"]
+    assert expected_code == 0
+    VERIFY_CHECKS[leaf](_load_verify(), run(template), doc, run)

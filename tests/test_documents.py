@@ -191,7 +191,7 @@ CASES = {
     "graph-dropped": ("selector", ("graph",), DROP,
                       "selector.graph: missing"),
     "selector-graph-rank": ("selector", ("graph", "rank"), DROP,
-                            "graph.rank: missing"),
+                            "selector.graph.rank: missing"),
     "v0-dropped": ("selector", ("v0",), DROP, "selector.v0: missing"),
     "v0-unknown": ("selector", ("v0",), "w",
                    "selector.v0: unknown vertex 'w'"),
@@ -331,8 +331,9 @@ CASES = {
                           "sft.forbidden[1].e: symbol 1.5 is not a string "
                           "or an integer"),
     "rule-support-wide": ("sft", ("forbidden", 0, "b"), 1,
-                          "sft: forbidden support [(), (0,), (2,)] is not "
-                          "one step inside the defining window"),
+                          "sft.forbidden[0]: forbidden support "
+                          "[(), (0,), (2,)] is not one step inside the "
+                          "defining window"),
     "rule-symbol-outside": ("sft", ("forbidden", 0, "a"), 7,
                             "sft.forbidden[0]: symbol 7 is not in the "
                             "alphabet"),

@@ -135,10 +135,13 @@ def test_enumerate_window_cap(group2):
 
 def test_enumerate_window_domain_validation(group2):
     sft = full_shift(group2, Alphabet([0, 1]))
-    with pytest.raises(ValueError):
-        enumerate_window(sft, [(0,)])            # identity missing
-    with pytest.raises(ValueError):
-        enumerate_window(sft, [EPSILON, (0, 0)])  # disconnected
+    with pytest.raises(ValueError,
+                       match="^domain must contain the identity$"):
+        enumerate_window(sft, [(0,)])
+    for domain in ([EPSILON, (0, 0)], [EPSILON, (4,)]):  # (4,) is not rank 2
+        with pytest.raises(ValueError, match="^domain must be connected in "
+                           "the Cayley graph$"):
+            enumerate_window(sft, domain)
 
 
 def test_iota_identity_window(group2):
@@ -440,7 +443,8 @@ def test_sft_forbids_only_one_step_supports(group2, support):
     doc = {"rank": 2, "alphabet": [0, 1],
            "window": [group2.format_word(w) for w in window],
            "forbidden": [{w: 0 for w in support}]}
-    with pytest.raises(DocumentError, match="^sft: forbidden support"):
+    with pytest.raises(DocumentError,
+                       match=r"^sft\.forbidden\[0\]: forbidden support"):
         sft_from_doc(doc)
     doc["forbidden"] = [{"e": 0, "b": 1}]
     assert sft_to_doc(sft_from_doc(doc)) == doc
@@ -450,8 +454,8 @@ def test_sft_document_pair_letter_outside_window():
     doc = {"rank": 2, "alphabet": [0, 1], "window": ["e", "a", "A", "ab"],
            "forbidden": [{"e": 0, "a": 1}, {"e": 0, "b": 1}]}
     with pytest.raises(DocumentError, match=re.escape(
-            "sft: forbidden support [(), (2,)] is not one step inside the "
-            "defining window")):
+            "sft.forbidden[1]: forbidden support [(), (2,)] is not one step "
+            "inside the defining window")):
         sft_from_doc(doc)
 
 

@@ -104,6 +104,25 @@ def test_ball_windows_agree_with_x_t_word_by_word():
                     assert g.edges[edge_of[z0[w]]].target == x
 
 
+@pytest.mark.parametrize("rank", [2, 3])
+def test_tree_walk_windows_agree_with_x_t_at_rank(rank):
+    group = FreeGroup(rank)
+    rng = random.Random(29 + rank)
+    ball = group.ball(4)
+    for _ in range(3):
+        g = random_minimal_graph(group, rng, 3)
+        v = rng.randrange(len(g.vertices))
+        sel = selectors.synthesize_recurrent(g, selectors.find_cycle(g, v))
+        xw = selectors.x_t_window(sel, 4)
+        z0 = selectors.z0_window(sel, 4)
+        assert xw.domain.words == z0.domain.words == ball
+        for w in ball:
+            x = selectors.x_t(sel, w)
+            assert xw[w] == g.vertices[x]
+            assert z0[w] == (selectors.edge_symbol(selectors.extend_t1(
+                sel, sel.t0[w[0]], w[1:])) if w else STAR)
+
+
 def test_find_cycle_rose(rose2):
     cycle = selectors.find_cycle(rose2, 0)
     assert len(cycle) == 1

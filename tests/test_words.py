@@ -7,6 +7,7 @@ from oracles import depths_oracle, random_digraph
 from rauzy.words import (
     EPSILON,
     FreeGroup,
+    _ball,
     _bfs,
     concat,
     inverse,
@@ -104,6 +105,21 @@ def test_ball_order_is_deterministic_and_prefix_closed():
         assert not w or w[:-1] in seen
         seen.add(w)
     assert list(ball) == sorted(ball, key=lambda w: (len(w), w))
+
+
+@pytest.mark.parametrize("rank", [1, 2, 3])
+def test_ball_tree_index(rank):
+    # parent[i] is the position of w[:-1] and last[i] is w[-1], both 0 at
+    # the identity, in the same cached entry as the ball itself
+    for k in range(5):
+        ball, parent, last = _ball(rank, k)
+        assert ball is FreeGroup(rank).ball(k)
+        assert parent[0] == last[0] == 0
+        pos = {w: i for i, w in enumerate(ball)}
+        assert all(parent[i] == pos[w[:-1]] and last[i] == w[-1]
+                   for i, w in enumerate(ball) if w)
+        assert FreeGroup(rank).sphere(k) == tuple(w for w in ball
+                                                  if len(w) == k)
 
 
 def test_is_connected():
