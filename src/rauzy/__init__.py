@@ -2,7 +2,7 @@
 
 The package is organized along the objects it manipulates:
 
-  words      exact reduced-word arithmetic and Cayley balls
+  words      exact reduced-word arithmetic, Cayley balls and domains
   patterns   patterns, SFTs, window enumeration, the window isomorphism
   graphs     Rauzy graphs, validation, minimality, graph SFTs
   selectors  edge selectors, recurrent synthesis, sofic witnesses,
@@ -14,11 +14,10 @@ The package is organized along the objects it manipulates:
   cli        the `rauzy` command-line tool
 """
 
-from .words import FreeGroup
+from .words import Domain, FreeGroup
 from .patterns import (
     Alphabet,
     CapExceededError,
-    Domain,
     Pattern,
     Sft,
     WindowConfig,

@@ -21,8 +21,8 @@ from typing import Hashable, Sequence
 
 from .graphs import RauzyGraph, _UnionFind, is_connected, require_valid
 from .measured import MeasuredRauzyGraph, validate_balance
-from .patterns import WindowConfig, ball_domain
-from .words import FreeGroup, Letter, _bfs, _walk_ball
+from .patterns import WindowConfig, _ball_window
+from .words import FreeGroup, Letter, _bfs
 
 
 class FiniteAction:
@@ -254,9 +254,7 @@ def periodic_window(act: FiniteAction, base: int, radius: int) -> WindowConfig:
     """The Schreier coding of a point on B_radius: the value at g is the
     point reached by walking the letters of g from the base (the shift
     convention: the g-value is the inverse translate's class)."""
-    state = _walk_ball(act.group.rank, radius, base, act.moves)
-    return WindowConfig._of(ball_domain(act.group, radius),
-                            tuple(map(act.points.__getitem__, state)))
+    return _ball_window(act.group, radius, base, act.moves, act.points)
 
 
 @dataclass(frozen=True)

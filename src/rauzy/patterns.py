@@ -15,7 +15,8 @@ from __future__ import annotations
 from functools import cached_property, lru_cache
 from typing import Iterable, Mapping, Sequence
 
-from .words import EPSILON, FreeGroup, Word, concat, inverse, word_key
+from .words import (EPSILON, Domain, FreeGroup, Word, _ball, _walk_ball,
+                    concat, inverse, word_key)
 
 
 class CapExceededError(RuntimeError):
@@ -50,51 +51,6 @@ class Alphabet:
 
     def __iter__(self):
         return iter(self.symbols)
-
-
-class Domain:
-    """Distinct words in canonical ball order, with their hash and a
-    word -> position index that is built on first use.
-
-    The words are trusted to be in canonical order; ``Domain.of`` sorts.
-    One Domain is shared by every config of an enumeration.
-    """
-
-    __slots__ = ("words", "_hash", "_index")
-
-    def __init__(self, words: Sequence[Word]):
-        self.words = tuple(words)
-        self._hash = hash(self.words)
-        self._index = None
-
-    @classmethod
-    def of(cls, words: Iterable[Word]) -> "Domain":
-        return cls(sorted(set(words), key=word_key))
-
-    @property
-    def index(self) -> dict:
-        if self._index is None:
-            self._index = {w: i for i, w in enumerate(self.words)}
-        return self._index
-
-    def __len__(self) -> int:
-        return len(self.words)
-
-    def __iter__(self):
-        return iter(self.words)
-
-    def __eq__(self, other):
-        return self is other or (isinstance(other, Domain)
-                                 and self.words == other.words)
-
-    def __hash__(self):
-        return self._hash
-
-
-@lru_cache(maxsize=8)
-def ball_domain(group: FreeGroup, radius: int) -> Domain:
-    """The Domain of B_radius, shared by the windows read off one ball."""
-    return Domain(group.ball(radius))
 
 
 class Pattern:
@@ -160,6 +116,21 @@ class Pattern:
 class WindowConfig(Pattern):
     """A coloring of a finite window of the group (same data as a Pattern,
     read as an observed configuration rather than a constraint)."""
+
+
+def _ball_window(group: FreeGroup, radius: int, root, table,
+                 values) -> WindowConfig:
+    """The window on B_radius with values[state] at each word, for the
+    state an automaton reaches reading the word from `root` through
+    table[state][letter]."""
+    return WindowConfig._of(_ball(group.rank, radius)[0], tuple(
+        map(values.__getitem__, _walk_ball(group.rank, radius, root, table))))
+
+
+def project(config: WindowConfig, symbols: Mapping) -> WindowConfig:
+    """The config with each value a replaced by symbols[a]."""
+    return WindowConfig._of(config.domain,
+                            tuple(map(symbols.__getitem__, config.values)))
 
 
 class WindowLanguage:

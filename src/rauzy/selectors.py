@@ -26,7 +26,7 @@ from .graphs import (
     is_minimal,
     require_valid,
 )
-from .patterns import Alphabet, Sft, WindowConfig, ball_domain
+from .patterns import Alphabet, Sft, WindowConfig, _ball_window, project
 from .words import (Letter, Word, _ball, _bfs, _walk_ball, inverse,
                     inverse_letter)
 
@@ -110,26 +110,12 @@ def x_t(sel: EdgeSelector, w: Word) -> int:
     return sel.graph.edges[e].target
 
 
-def _walk_edges(sel: EdgeSelector, radius: int) -> list:
-    """The edge T1(T0(w[0]), w[1:]) at each position of B_radius; the
-    identity gets len(t1), the index of the extra row standing for T0."""
-    return _walk_ball(sel.graph.group.rank, radius, len(sel.t1),
-                      sel.t1 + (sel.t0,))
-
-
-def _edge_window(sel: EdgeSelector, radius: int, values) -> WindowConfig:
-    """The window on B_radius with values[e] at each word whose walk ends
-    at edge e (e = len(t1) at the identity)."""
-    return WindowConfig._of(ball_domain(sel.graph.group, radius),
-                            tuple(map(values.__getitem__,
-                                      _walk_edges(sel, radius))))
-
-
 def x_t_window(sel: EdgeSelector, radius: int) -> WindowConfig:
     """The window of x_T on B_radius, over the vertex alphabet."""
     g = sel.graph
     values = [g.vertices[e.target] for e in g.edges] + [g.vertices[sel.v0]]
-    return _edge_window(sel, radius, values)
+    return _ball_window(g.group, radius, len(sel.t1), sel.t1 + (sel.t0,),
+                        values)
 
 
 STAR = "*"
@@ -143,7 +129,8 @@ def z0_window(sel: EdgeSelector, radius: int) -> WindowConfig:
     """The window of the distinguished point z0 of the sofic witness:
     star at the identity, T0(s) at s, then T1 along reduced words."""
     values = [edge_symbol(i) for i in range(len(sel.t1))] + [STAR]
-    return _edge_window(sel, radius, values)
+    return _ball_window(sel.graph.group, radius, len(sel.t1),
+                        sel.t1 + (sel.t0,), values)
 
 
 def _moves(sel: EdgeSelector) -> list[list[int]]:
@@ -187,8 +174,7 @@ class SoficWitness:
     range_edges: frozenset
 
     def project(self, config: WindowConfig) -> WindowConfig:
-        phi = self.phi.__getitem__
-        return WindowConfig._of(config.domain, tuple(map(phi, config.values)))
+        return project(config, self.phi)
 
 
 def sofic_witness(sel: EdgeSelector) -> SoficWitness:
@@ -354,8 +340,6 @@ def synthesize_recurrent(g: RauzyGraph, cycle: Sequence[int]) -> EdgeSelector:
     cb = list(bar_cycle(g, cycle))
     e0, e_last = cyc[0], cyc[-1]
     v0 = g.edges[e0].source
-    if g.edges[e_last].target != v0:
-        raise ValueError("cycle does not close at its basepoint")
 
     uf = _UnionFind()
     assigned: dict = {}
@@ -576,14 +560,13 @@ def certify_minimality(sel: EdgeSelector, cycle: Sequence[int],
     returns = _return_words(sel, cycle)
     max_return = max(len(w) for w, _ in returns.values())
 
-    # the window ball by position; the identity's step is always undone
-    window = ball_domain(g.group, window_radius)
-    _, parent, last = _ball(g.group.rank, window_radius)
-    targets = [e.target for e in g.edges] + [sel.v0]
-    base = [targets[e] for e in _walk_edges(sel, window_radius)]
+    # x_T on the window ball by position; the identity's step is always undone
+    window, parent, last = _ball(g.group.rank, window_radius)
+    targets = [g.vertices[e.target] for e in g.edges] + [g.vertices[sel.v0]]
+    base = x_t_window(sel, window_radius).values
 
     def first_miss(e: int, r: Word) -> tuple | None:
-        """(position of the first bad u, vertex got there) for the walks
+        """(position of the first bad u, vertex label got there) for the walks
         from e along r * u; None if x_T agrees on the whole window."""
         path = [e]
         for x in r:
@@ -605,10 +588,13 @@ def certify_minimality(sel: EdgeSelector, cycle: Sequence[int],
     checked: dict = {}   # edge -> (r, first miss)
     gap = 0
     probes = g.group.ball(probe_length)
+    # T1(T0(g0[0]), g0[1:]) at each g0, the identity at the extra row len(t1)
+    walk = _walk_ball(g.group.rank, probe_length, len(sel.t1),
+                      sel.t1 + (sel.t0,))
     # the identity lies in every return set; the cycle-power return element
     # only agrees at the center for general recurrent selectors, so the
     # identity probe is skipped
-    for g0, e in islice(zip(probes, _walk_edges(sel, probe_length)), 1, None):
+    for g0, e in islice(zip(probes, walk), 1, None):
         if e not in checked:
             w1, which = returns[e]
             r = w1[:-1] + bodies[which] * k
@@ -617,8 +603,7 @@ def certify_minimality(sel: EdgeSelector, cycle: Sequence[int],
         gap = max(gap, len(r))
         if miss is not None:
             i, got = miss
-            return MinimalityCounterexample(
-                g0, g0 + r, window.words[i], g.vertices[base[i]],
-                g.vertices[got])
+            return MinimalityCounterexample(g0, g0 + r, window.words[i],
+                                            base[i], got)
     return MinimalityCertificate(
         window_radius, probe_length, len(probes), gap, n, k, max_return)

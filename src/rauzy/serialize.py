@@ -27,9 +27,9 @@ from json.encoder import JSONEncoder, c_make_encoder, encode_basestring_ascii
 from .actions import FiniteAction
 from .graphs import Edge, RauzyGraph
 from .measured import MeasuredRauzyGraph
-from .patterns import Alphabet, Domain, Pattern, Sft, WindowConfig
+from .patterns import Alphabet, Pattern, Sft, WindowConfig
 from .selectors import EdgeSelector
-from .words import EPSILON, FreeGroup, word_key
+from .words import EPSILON, Domain, FreeGroup, word_key
 
 
 class DocumentError(ValueError):

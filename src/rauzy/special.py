@@ -12,30 +12,38 @@ Also here: finite return sets of a window configuration into a pattern.
 
 from __future__ import annotations
 
-from .patterns import (Alphabet, Pattern, Sft, WindowConfig, _gather, _missing,
-                       ball_domain)
+from .patterns import (Alphabet, Pattern, Sft, WindowConfig, _ball_window,
+                       _gather, _missing)
 from .words import FreeGroup, Letter, inverse_letter, letter_sign
 
 MARK = "*"
 
 
+def _marker_window(group: FreeGroup, s0: Letter, radius: int,
+                   values: list) -> WindowConfig:
+    """The window on B_radius with values[2d] on the s0-axis and values[b]
+    off it at words with last letter b: the walk of an automaton that keeps
+    its marker state 2d along s0^{+-1} and else moves to the letter read."""
+    if letter_sign(s0) != 1:
+        raise ValueError("the subgroup generator must be a positive letter")
+    marker = 2 * group.rank
+    letters = group.letters
+    axis = [marker if x >> 1 == s0 >> 1 else x for x in letters]
+    return _ball_window(group, radius, marker, [letters] * marker + [axis],
+                        values)
+
+
 def chi_window(group: FreeGroup, s0: Letter, radius: int) -> WindowConfig:
     """The indicator of <s0> restricted to B_radius (1 exactly on the powers
     of s0): x0_window with the marker as 1 and every letter as 0."""
-    x0 = x0_window(group, s0, radius)
-    return WindowConfig._of(x0.domain,
-                            tuple(int(a == MARK) for a in x0.values))
+    return _marker_window(group, s0, radius, [0] * (2 * group.rank) + [1])
 
 
 def x0_window(group: FreeGroup, s0: Letter, radius: int) -> WindowConfig:
     """The distinguished SFT point over B_radius: marker on the s0-axis,
     last letter everywhere else."""
-    if letter_sign(s0) != 1:
-        raise ValueError("the subgroup generator must be a positive letter")
-    return WindowConfig._of(ball_domain(group, radius), tuple(
-        MARK if all(x >> 1 == s0 >> 1 for x in w)
-        else group.format_letter(w[-1])
-        for w in group.ball(radius)))
+    return _marker_window(group, s0, radius,
+                          [*map(group.format_letter, group.letters), MARK])
 
 
 def special_symbol_sft(group: FreeGroup, s0: Letter) -> tuple[Sft, dict]:
@@ -64,11 +72,6 @@ def special_symbol_sft(group: FreeGroup, s0: Letter) -> tuple[Sft, dict]:
     allowed = {(a, t): follow(a, t) for a in symbols for t in group.letters}
     sft = Sft(group, Alphabet(symbols), group.ball(1), allowed=allowed)
     return sft, {a: int(a == MARK) for a in symbols}
-
-
-def project_config(config: WindowConfig, proj: dict) -> WindowConfig:
-    return WindowConfig._of(config.domain,
-                            tuple(map(proj.__getitem__, config.values)))
 
 
 def return_set(group: FreeGroup, config: WindowConfig, u: Pattern,

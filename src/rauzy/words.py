@@ -7,9 +7,10 @@ ints: generator i is ``2*i``, its inverse is ``2*i + 1``.  That makes
 Words are plain tuples of letters, always stored reduced; the empty tuple is
 the identity.
 
-The ball B_k is kept as a Cayley tree: ``_ball`` gives, per position, the
-position of w[:-1] and the letter w[-1], and every automaton walk over a
-ball (x_T, z0, Schreier codings, certificates) reads these, not words.
+The ball B_k is cached once, as a ``Domain`` and a Cayley tree: ``_ball``
+gives, per position, the position of w[:-1] and the letter w[-1], and every
+automaton walk over a ball (x_T, z0, the marker point, Schreier codings,
+certificates) reads these, not words.
 """
 
 from __future__ import annotations
@@ -17,7 +18,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import lru_cache
 from itertools import islice
-from typing import Iterable
+from typing import Iterable, Sequence
 
 Letter = int
 Word = tuple  # tuple[Letter, ...], reduced
@@ -88,24 +89,66 @@ def word_key(w: Word) -> tuple:
     return (len(w), w)
 
 
-@lru_cache(maxsize=None)
+class Domain:
+    """Distinct words in canonical ball order, with their hash and a
+    word -> position index, each computed on first use.
+
+    The words are trusted to be in canonical order; ``Domain.of`` sorts.
+    One Domain is shared by every config of an enumeration.
+    """
+
+    __slots__ = ("words", "_hash", "_index")
+
+    def __init__(self, words: Sequence[Word]):
+        self.words = tuple(words)
+        self._hash = self._index = None
+
+    @classmethod
+    def of(cls, words: Iterable[Word]) -> "Domain":
+        return cls(sorted(set(words), key=word_key))
+
+    @property
+    def index(self) -> dict:
+        if self._index is None:
+            self._index = {w: i for i, w in enumerate(self.words)}
+        return self._index
+
+    def __len__(self) -> int:
+        return len(self.words)
+
+    def __iter__(self):
+        return iter(self.words)
+
+    def __eq__(self, other):
+        return self is other or (isinstance(other, Domain)
+                                 and self.words == other.words)
+
+    def __hash__(self):
+        if self._hash is None:
+            self._hash = hash(self.words)
+        return self._hash
+
+
+# bounded, so that a long-lived process drops the balls it no longer uses
+@lru_cache(maxsize=8)
 def _ball(rank: int, k: int) -> tuple:
-    """(words, parent, last) of B_k: the words in canonical order, the
-    position parent[i] of words[i][:-1] and the letter last[i] =
-    words[i][-1] (both 0 at the identity), read off as each word of sphere
-    k-1 is extended by every letter that does not cancel."""
-    if k == 0:
-        return (EPSILON,), (0,), (0,)
-    prev, parent, last = _ball(rank, k - 1)
-    sphere = range(len(_ball(rank, k - 2)[0]) if k >= 2 else 0, len(prev))
-    # per last letter b, the letters that do not cancel it; all at k = 1
+    """(domain, parent, last) of B_k: the Domain of its words in canonical
+    order, the position parent[i] of words[i][:-1] and the letter last[i] =
+    words[i][-1] as bytes (both 0 at the identity), built sphere by sphere,
+    each word extended by every letter that does not cancel its last."""
     letters = range(2 * rank)
-    rows = ([[x for x in letters if x != b ^ 1] for b in letters]
-            if k > 1 else [letters])
-    return (prev + tuple([prev[i] + (x,)
-                          for i in sphere for x in rows[last[i]]]),
-            parent + tuple([i for i in sphere for _ in rows[last[i]]]),
-            last + tuple([x for i in sphere for x in rows[last[i]]]))
+    # per last letter b, the letters that do not cancel it; at the identity,
+    # whose last letter reads 2 * rank while the ball grows, all of them
+    rows = [[x for x in letters if x != b ^ 1] for b in letters] + [letters]
+    words, parent, last = [EPSILON], [0], [2 * rank]
+    sphere = range(1)
+    for _ in range(k):
+        words += [words[i] + (x,) for i in sphere for x in rows[last[i]]]
+        parent += [i for i in sphere for _ in rows[last[i]]]
+        last += [x for i in sphere for x in rows[last[i]]]
+        sphere = range(sphere.stop, len(words))
+    last[0] = 0
+    return Domain(words), tuple(parent), bytes(last)
 
 
 def _walk_ball(rank: int, radius: int, root, table) -> list:
@@ -164,7 +207,7 @@ class FreeGroup:
         length then lexicographic, so it is prefix-closed)."""
         if k < 0:
             raise ValueError("radius must be non-negative")
-        return _ball(self.rank, k)[0]
+        return _ball(self.rank, k)[0].words
 
     def sphere(self, k: int) -> tuple:
         return self.ball(k)[self.ball_size(k - 1) if k else 0:]

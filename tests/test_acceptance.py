@@ -29,6 +29,7 @@ from rauzy.patterns import (
     Pattern,
     enumerate_window,
     iota,
+    project,
     restrict_language,
     window_j,
 )
@@ -199,7 +200,7 @@ def test_criterion_9_special_symbol():
     group = FreeGroup(2)
     sft, proj = special.special_symbol_sft(group, 0)
     ball2 = group.ball(2)
-    projected = {Pattern(special.project_config(c, proj).items)
+    projected = {Pattern(project(c, proj).items)
                  for c in enumerate_window(sft, ball2)}
     chi = special.chi_window(group, 0, 2 + 6)
     scan = set(restrict_language([chi], ball2).patterns)

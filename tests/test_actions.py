@@ -10,7 +10,7 @@ from rauzy import actions, graphs
 from rauzy.actions import FiniteAction
 from rauzy.generate import random_measured_graph
 from rauzy.measured import MeasuredRauzyGraph, integer_solution
-from rauzy.patterns import ball_domain, is_locally_admissible, restrict_language
+from rauzy.patterns import is_locally_admissible, restrict_language
 from rauzy.words import EPSILON, FreeGroup, _ball
 
 
@@ -284,7 +284,6 @@ def test_periodic_window_keeps_states_by_position(cyc2):
         assert peak < 8 * 2 ** 20
     finally:
         _ball.cache_clear()
-        ball_domain.cache_clear()
 
 
 # SHA-256 of the window and occurrence report that

@@ -63,6 +63,29 @@ def test_minimal(tmp_path, capsys, rose2):
     assert code == 0 and report["verdict"] is True
 
 
+INVALID_GRAPH_REPORT = """{
+  "command": "%s",
+  "inputs": {},
+  "verdict": "invalid graph",
+  "witnesses": {
+    "violations": [
+      "no outgoing edge at vertex 'v' labeled b",
+      "no outgoing edge at vertex 'v' labeled B"
+    ]
+  }
+}
+"""
+
+
+@pytest.mark.parametrize("command", ["minimal", "conditions"])
+def test_invalid_graph_is_refused_before_the_check(tmp_path, capsys, group2,
+                                                   command):
+    broken = graphs.RauzyGraph.from_triples(group2, ["v"], [("v", 0, "v")])
+    path = write(tmp_path, "broken.json", graph_to_doc(broken))
+    assert main([command, path]) == 1
+    assert capsys.readouterr().out == INVALID_GRAPH_REPORT % command
+
+
 def test_minimal_two_disjoint_roses(tmp_path, capsys, group2):
     # edges 0-3 are the loops at u, 4-7 those at v: the least edge, then
     # the least edge that no reduced path from it reaches, up to reversal
@@ -176,6 +199,36 @@ def test_certify_minimal_counterexample(tmp_path, capsys, star3):
     assert report["verdict"] == "counterexample"
     assert report["witnesses"] == {
         "g0": "a", "h": "aabb", "u": "a", "expected": "w", "got": "v"}
+
+
+def test_certify_minimal_cycle_option_overrides_the_document(tmp_path,
+                                                             capsys, cyc2):
+    # the document carries the two-edge a-cycle at u; --cycle 2 names the
+    # b-loop at u instead, for which the selector is recurrent too
+    cycle = selectors.find_cycle(cyc2, 0)
+    sel = selectors.synthesize_recurrent(cyc2, cycle)
+    path = write(tmp_path, "sel.json", selector_to_doc(sel, cycle))
+    argv = ["certify-minimal", path, "--window", "2", "--depth", "3"]
+    code, report = run(capsys, *argv)
+    assert code == 0 and report["witnesses"]["cycle_length"] == 2
+    assert main(argv + ["--cycle", "2"]) == 0
+    assert capsys.readouterr().out == """{
+  "command": "certify-minimal",
+  "inputs": {
+    "selector": "f5cf270fe70dc2f2f35d3850745ccdd72ee7b23118e42356a7d907464966f259"
+  },
+  "verdict": "certified",
+  "witnesses": {
+    "cycle_length": 1,
+    "cycle_power": 2,
+    "max_return_length": 2,
+    "probe_length": 3,
+    "probes": 53,
+    "syndeticity_gap": 3,
+    "window_radius": 2
+  }
+}
+"""
 
 
 def test_cycle_on_non_minimal_graph(tmp_path, capsys, group2):

@@ -256,9 +256,25 @@ def _sofic_check(v, report, doc, run):
     v.sofic(g, sel, report, z0)
 
 
+def _selector_check(v, report, doc, run):
+    # the cycle the selector must carry is the one a cycle run gives
+    cycle = run("cycle {s8} --vertex p0")["witnesses"]["cycle"]
+    v.selector(v.Graph(doc("s8")), cycle, report["witnesses"]["selector"])
+
+
+def _solve_check(v, report, doc, run):
+    g, m = v.Graph(doc("s8")), report["witnesses"]["measured"]
+    v.need(g.same_as(m), "solve: the graph changed")
+    v.balanced(g, m["mu"], m["m"])
+
+
 # leaf command -> check(verify, report of its ok case, doc(name), run(argv)),
 # with the sizes of the ok case in CASES
 VERIFY_CHECKS = {
+    "cycle": lambda v, r, doc, run: v.reduced_cycle(
+        v.Graph(doc("s8")), r["witnesses"]["cycle"], "p0"),
+    "selector synth": _selector_check,
+    "measure solve": _solve_check,
     "xg-window": lambda v, r, doc, run: v.configs(v.Graph(doc("flow")), r, 2),
     "selector expand": lambda v, r, doc, run: v.expansion(
         v.Graph(doc("s8")), doc("s8_sel"), r, 2),
@@ -284,3 +300,9 @@ def test_ok_report_passes_the_benchmark_check(argv_fields, capsys, leaf):
     template, expected_code = CASES[leaf, "ok"]
     assert expected_code == 0
     VERIFY_CHECKS[leaf](_load_verify(), run(template), doc, run)
+
+
+def test_leaf_commands_without_a_benchmark_check():
+    assert sorted(set(_leaves(build_parser())) - set(VERIFY_CHECKS)) == [
+        "conditions", "fiber-product", "minimal", "search-condition-witness",
+        "validate"]

@@ -24,6 +24,7 @@ from rauzy.patterns import (
     full_shift,
     iota,
     is_locally_admissible,
+    project,
     restrict_language,
     translate_pattern,
     window_j,
@@ -657,7 +658,7 @@ def test_trusted_configs_match_mapping_configs():
     sft, proj = special_symbol_sft(group2, 2)
     x0 = x0_window(group2, 2, 3)
     trusted += [x0, special.chi_window(group2, 2, 3),
-                special.project_config(x0, proj)]
+                project(x0, proj)]
     act = FiniteAction(group2, ["p", "q", "r"], [[1, 2, 0], [0, 2, 1]])
     trusted.append(actions.periodic_window(act, 1, 3))
     F = group2.ball(1)

@@ -156,6 +156,28 @@ def test_find_cycle_random_graphs():
             assert g.edges[cycle[-1]].target == v
 
 
+def test_find_cycle_joins_both_failed_attempts():
+    # at vertex 4 the shortest return after a comes back by A, and the one
+    # after b by B, so find_cycle joins the two closed walks: a b A, b a B
+    g = random_minimal_graph(FreeGroup(2), random.Random(33), 6)
+    cycle = selectors.find_cycle(g, 4)
+    assert cycle == (25, 23, 22, 28, 9, 14)
+    assert selectors.cycle_word(g, cycle) == (0, 2, 1, 2, 0, 3)
+    sel = selectors.synthesize_recurrent(g, cycle)
+    assert isinstance(selectors.certify_minimality(sel, cycle, 4, 7),
+                      MinimalityCertificate)
+
+
+def test_simplify_cycle_replaces_each_subcycle_by_its_edge(rose2):
+    a, b = rose2.out_edges(0, 0)[0], rose2.out_edges(0, 2)[0]
+    B = rose2.edges[b].bar
+    # the subcycle (a, b, a) of the closed walk a b a B becomes a
+    assert selectors._simplify_cycle(rose2, [a, b, a, B]) == (a, B)
+    assert selectors.check_cycle(rose2, (a, B)) == []
+    # a cut subcycle forgets its edges: the second b is new again
+    assert selectors._simplify_cycle(rose2, [a, b, a, b, B]) == (a, b, B)
+
+
 def test_synthesize_recurrent_fixtures(cyc2, cyc2_selector, rose_selector):
     sel, cycle = cyc2_selector
     assert selectors.validate_recurrent(sel, cycle) == []

@@ -9,6 +9,7 @@ from rauzy.patterns import (
     WindowConfig,
     enumerate_window,
     is_locally_admissible,
+    project,
     restrict_language,
     translate_pattern,
 )
@@ -35,6 +36,25 @@ def test_chi_window_counts(group2):
     for k in range(5):
         c = special.chi_window(group2, 0, k)
         assert sum(v for _, v in c.items) == 2 * k + 1
+
+
+@pytest.mark.parametrize("rank", [2, 3])
+def test_marker_windows_match_the_definition_word_by_word(rank):
+    # x0 is the marker exactly on the powers of s0 and the last letter
+    # elsewhere; chi is 1 exactly on the powers of s0
+    group = FreeGroup(rank)
+    rng = random.Random(rank)
+    for s0 in range(0, 2 * rank, 2):
+        radius = rng.choice((4, 5)) if rank == 2 else 4
+        x0 = special.x0_window(group, s0, radius)
+        chi = special.chi_window(group, s0, radius)
+        ball = group.ball(radius)
+        assert x0.domain.words == chi.domain.words == ball
+        for w, a, b in zip(ball, x0.values, chi.values):
+            power = w in ((s0,) * len(w), (s0 ^ 1,) * len(w))
+            assert a == (special.MARK if power
+                         else group.format_letter(w[-1]))
+            assert b == int(power)
 
 
 def test_chi_rejects_inverse_generator(group2):
@@ -72,7 +92,7 @@ def test_projected_language_is_chi_orbit_language(group2, sft_proj):
     sft, proj = sft_proj
     for radius, slack in ((1, 4), (2, 6)):
         ball = group2.ball(radius)
-        projected = {Pattern(special.project_config(c, proj).items)
+        projected = {Pattern(project(c, proj).items)
                      for c in enumerate_window(sft, ball)}
         chi = special.chi_window(group2, 0, radius + slack)
         scan = set(restrict_language([chi], ball).patterns)

@@ -1,5 +1,6 @@
 import itertools
 import random
+import tracemalloc
 
 import pytest
 
@@ -112,7 +113,8 @@ def test_ball_tree_index(rank):
     # parent[i] is the position of w[:-1] and last[i] is w[-1], both 0 at
     # the identity, in the same cached entry as the ball itself
     for k in range(5):
-        ball, parent, last = _ball(rank, k)
+        domain, parent, last = _ball(rank, k)
+        ball = domain.words
         assert ball is FreeGroup(rank).ball(k)
         assert parent[0] == last[0] == 0
         pos = {w: i for i, w in enumerate(ball)}
@@ -120,6 +122,27 @@ def test_ball_tree_index(rank):
                    for i, w in enumerate(ball) if w)
         assert FreeGroup(rank).sphere(k) == tuple(w for w in ball
                                                   if len(w) == k)
+
+
+def test_one_bounded_ball_cache():
+    # B_11 at rank 2 (354,293 words) is cached once, as its Domain and
+    # tree, without the radii below it (51.2 MiB): the cache that kept every
+    # radius up to 11 held 57.7 MiB.  More small balls than the cache holds
+    # push it out.
+    _ball.cache_clear()
+    tracemalloc.start()
+    try:
+        assert len(FreeGroup(2).ball(11)) == 354_293
+        held = tracemalloc.get_traced_memory()[0]
+        assert _ball.cache_info().currsize == 1
+        for k in range(_ball.cache_info().maxsize + 1):
+            FreeGroup(1).ball(k)
+        dropped = tracemalloc.get_traced_memory()[0]
+    finally:
+        tracemalloc.stop()
+        _ball.cache_clear()
+    assert held < 56 * 2 ** 20
+    assert dropped < 5 * 2 ** 20
 
 
 def test_is_connected():
