@@ -46,15 +46,6 @@ from .measured import MeasuredRauzyGraph
 from .words import FreeGroup
 
 
-class VerdictFalse(Exception):
-    """Carries a false/counterexample verdict (exit code 1)."""
-
-    def __init__(self, verdict, witnesses=None):
-        super().__init__(str(verdict))
-        self.verdict = verdict
-        self.witnesses = witnesses or {}
-
-
 def _read_doc(path: str) -> tuple[dict, str]:
     try:
         with open(path, "rb") as fh:
@@ -117,7 +108,7 @@ def cmd_minimal(args):
     g = _bare_graph(doc)
     bad = graphs.validate(g)
     if bad:
-        raise VerdictFalse("invalid graph", {"violations": bad})
+        return {"graph": digest}, "invalid graph", {"violations": bad}, False
     ok, witness = graphs.is_minimal(g)
     wit = {} if ok else {"unreachable_pair": list(witness)}
     return {"graph": digest}, ok, wit, ok
@@ -128,7 +119,7 @@ def cmd_conditions(args):
     g = _bare_graph(doc)
     bad = graphs.validate(g)
     if bad:
-        raise VerdictFalse("invalid graph", {"violations": bad})
+        return {"graph": digest}, "invalid graph", {"violations": bad}, False
     c1, c2, c3 = graphs.check_conditions(g)
     verdict = {"c1": c1, "c2": c2, "c3": c3}
     return {"graph": digest}, verdict, {}, c1 and c2 and c3
@@ -161,11 +152,15 @@ def cmd_selector_synth(args):
     doc, digest = _read_doc(args.graph)
     g = _bare_graph(doc)
     cycle = _parse_cycle_arg(args.cycle, g)
+    bad = selectors.check_cycle(g, cycle)
+    if bad:
+        return ({"graph": digest}, "not a simple reduced cycle",
+                {"violations": bad}, False)
     sel = selectors.synthesize_recurrent(g, cycle)
-    violations = selectors.validate_recurrent(sel, cycle)
-    if violations:
-        raise VerdictFalse("synthesized selector is not recurrent",
-                           {"violations": violations})
+    bad = selectors.validate_recurrent(sel, cycle)
+    if bad:
+        return ({"graph": digest}, "synthesized selector is not recurrent",
+                {"violations": bad}, False)
     return ({"graph": digest}, "ok",
             {"selector": selector_to_doc(sel, cycle)}, True)
 
@@ -177,9 +172,6 @@ def _parse_cycle_arg(text, g):
         raise DocumentError("--cycle: must be comma-separated edge indices")
     if not all(map(_index_of(len(g.edges)), cycle)):
         raise DocumentError("--cycle: edge index out of range")
-    bad = selectors.check_cycle(g, cycle)
-    if bad:
-        raise VerdictFalse("not a simple reduced cycle", {"violations": bad})
     return cycle
 
 
@@ -214,6 +206,10 @@ def cmd_certify_minimal(args):
     sel, cycle = selector_from_doc(doc)
     if args.cycle is not None:
         cycle = _parse_cycle_arg(args.cycle, sel.graph)
+        bad = selectors.check_cycle(sel.graph, cycle)
+        if bad:
+            return ({"selector": digest}, "not a simple reduced cycle",
+                    {"violations": bad}, False)
     if cycle is None:
         raise DocumentError(
             "selector document carries no cycle; pass --cycle")
@@ -440,19 +436,20 @@ def main(argv=None) -> int:
     for extra in ("selector_command", "measure_command"):
         if getattr(args, extra, None):
             command += " " + getattr(args, extra)
+
+    def report(inputs, verdict, witnesses):
+        return report_text({"command": command, "inputs": inputs,
+                            "verdict": verdict, "witnesses": witnesses})
+
+    # rendering fails too on an int past the int-to-str digit limit
     try:
         inputs, verdict, witnesses, ok = args.func(args)
-        code = 0 if ok else 1
-    except VerdictFalse as exc:
-        inputs, verdict, witnesses, code = {}, exc.verdict, exc.witnesses, 1
+        text, code = report(inputs, verdict, witnesses), 0 if ok else 1
     except DocumentError as exc:
-        inputs, verdict, witnesses, code = ({}, "input error",
-                                            {"error": str(exc)}, 2)
+        text, code = report({}, "input error", {"error": str(exc)}), 2
     except (ValueError, CapExceededError) as exc:
-        inputs, verdict, witnesses, code = {}, "error", {"error": str(exc)}, 1
-    report = {"command": command, "inputs": inputs, "verdict": verdict,
-              "witnesses": witnesses}
-    print(report_text(report))
+        text, code = report({}, "error", {"error": str(exc)}), 1
+    print(text)
     print(f"timings: {time.monotonic() - started:.3f}s", file=sys.stderr)
     return code
 

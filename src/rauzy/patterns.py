@@ -13,10 +13,11 @@ is decidable at finite scale.  Global admissibility is never claimed.
 from __future__ import annotations
 
 from functools import cached_property, lru_cache
+from itertools import islice
 from typing import Iterable, Mapping, Sequence
 
-from .words import (EPSILON, Domain, FreeGroup, Word, _ball, _walk_ball,
-                    concat, inverse, word_key)
+from .words import (EPSILON, Domain, FreeGroup, Word, _ball, concat,
+                    inverse, word_key)
 
 
 class CapExceededError(RuntimeError):
@@ -121,10 +122,13 @@ class WindowConfig(Pattern):
 def _ball_window(group: FreeGroup, radius: int, root, table,
                  values) -> WindowConfig:
     """The window on B_radius with values[state] at each word, for the
-    state an automaton reaches reading the word from `root` through
-    table[state][letter]."""
-    return WindowConfig._of(_ball(group.rank, radius)[0], tuple(
-        map(values.__getitem__, _walk_ball(group.rank, radius, root, table))))
+    state an automaton reaches reading the word: `root` at the identity,
+    else table[state at parent[i]][last[i]] at position i."""
+    domain, parent, last = _ball(group.rank, radius)
+    state = [root]
+    for p, x in islice(zip(parent, last), 1, None):
+        state.append(table[state[p]][x])
+    return WindowConfig._of(domain, tuple(map(values.__getitem__, state)))
 
 
 def project(config: WindowConfig, symbols: Mapping) -> WindowConfig:

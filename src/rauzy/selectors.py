@@ -15,7 +15,6 @@ return of every bounded translate.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import islice
 from typing import Sequence
 
 from .graphs import (
@@ -27,8 +26,7 @@ from .graphs import (
     require_valid,
 )
 from .patterns import Alphabet, Sft, WindowConfig, _ball_window, project
-from .words import (Letter, Word, _ball, _bfs, _walk_ball, inverse,
-                    inverse_letter)
+from .words import Letter, Word, _ball, _bfs, inverse, inverse_letter
 
 
 @dataclass(frozen=True)
@@ -533,9 +531,13 @@ def certify_minimality(sel: EdgeSelector, cycle: Sequence[int],
     distinct edge is therefore checked once: r is walked from e keeping
     the edge after every prefix, and the window ball is walked in canonical
     order from the end of r, where a u that undoes a suffix of r takes the
-    edge kept at the matching prefix.  That costs
-    O(|B_probe| + |E| (|h| + |B_window|)) steps instead of the
-    O(|B_probe| |B_window| |h|) of walking every h * u from the identity.
+    edge kept at the matching prefix.  The probes are only counted: a
+    search by length maps each edge reached by the probes of one length to
+    the least such g0, in canonical order, and stops at the first length
+    that brings no new edge, within |E| levels.  That costs
+    O(probe_length |E| 2d + |E| (|h| + |B_window|)) steps and builds no
+    ball but the window's, instead of the O(|B_probe| |B_window| |h|) of
+    walking every h * u from the identity.
 
     The first failing probe is returned as a counterexample, with its g0,
     h and first bad u.  For selectors built by synthesize_recurrent this
@@ -559,6 +561,7 @@ def certify_minimality(sel: EdgeSelector, cycle: Sequence[int],
               "reverse": cycle_word(g, bar_cycle(g, cycle))}
     returns = _return_words(sel, cycle)
     max_return = max(len(w) for w, _ in returns.values())
+    r = {e: w1[:-1] + bodies[which] * k for e, (w1, which) in returns.items()}
 
     # x_T on the window ball by position; the identity's step is always undone
     window, parent, last = _ball(g.group.rank, window_radius)
@@ -585,25 +588,28 @@ def certify_minimality(sel: EdgeSelector, cycle: Sequence[int],
             state.append(f)
         return None
 
-    checked: dict = {}   # edge -> (r, first miss)
-    gap = 0
-    probes = g.group.ball(probe_length)
-    # T1(T0(g0[0]), g0[1:]) at each g0, the identity at the extra row len(t1)
-    walk = _walk_ball(g.group.rank, probe_length, len(sel.t1),
-                      sel.t1 + (sel.t0,))
-    # the identity lies in every return set; the cycle-power return element
-    # only agrees at the center for general recurrent selectors, so the
-    # identity probe is skipped
-    for g0, e in islice(zip(probes, walk), 1, None):
-        if e not in checked:
-            w1, which = returns[e]
-            r = w1[:-1] + bodies[which] * k
-            checked[e] = r, first_miss(e, r)
-        r, miss = checked[e]
-        gap = max(gap, len(r))
-        if miss is not None:
-            i, got = miss
-            return MinimalityCounterexample(g0, g0 + r, window.words[i],
-                                            base[i], got)
+    probes = g.group.ball_size(probe_length)
+    steps = _moves(sel) + [sel.t0]   # the identity at the extra row
+    # edge -> the least g0 of the current length whose walk ends there.  The
+    # identity lies in every return set; the cycle-power return element only
+    # agrees at the center for general recurrent selectors, so the identity
+    # probe is skipped
+    level, checked = {len(sel.t1): ()}, set()
+    for _ in range(probe_length):
+        reached = {}
+        for e, g0 in level.items():
+            for f in steps[e]:
+                reached.setdefault(f, g0 + (g.edges[f].label,))
+        level = reached
+        if level.keys() <= checked:
+            break
+        for e, g0 in level.items():
+            miss = None if e in checked else first_miss(e, r[e])
+            if miss is not None:
+                i, got = miss
+                return MinimalityCounterexample(g0, g0 + r[e], window.words[i],
+                                                base[i], got)
+        checked.update(level)
+    gap = max((len(r[e]) for e in checked), default=0)
     return MinimalityCertificate(
-        window_radius, probe_length, len(probes), gap, n, k, max_return)
+        window_radius, probe_length, probes, gap, n, k, max_return)

@@ -9,15 +9,15 @@ the identity.
 
 The ball B_k is cached once, as a ``Domain`` and a Cayley tree: ``_ball``
 gives, per position, the position of w[:-1] and the letter w[-1], and every
-automaton walk over a ball (x_T, z0, the marker point, Schreier codings,
-certificates) reads these, not words.
+automaton walk over a ball (x_T, z0, the marker point, Schreier codings)
+reads these, not words.  Minimality certificates walk only their window
+ball; their probes are counted by ``ball_size``, never built.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import lru_cache
-from itertools import islice
 from typing import Iterable, Sequence
 
 Letter = int
@@ -136,6 +136,8 @@ def _ball(rank: int, k: int) -> tuple:
     order, the position parent[i] of words[i][:-1] and the letter last[i] =
     words[i][-1] as bytes (both 0 at the identity), built sphere by sphere,
     each word extended by every letter that does not cancel its last."""
+    if k < 0:
+        raise ValueError("radius must be non-negative")
     letters = range(2 * rank)
     # per last letter b, the letters that do not cancel it; at the identity,
     # whose last letter reads 2 * rank while the ball grows, all of them
@@ -149,16 +151,6 @@ def _ball(rank: int, k: int) -> tuple:
         sphere = range(sphere.stop, len(words))
     last[0] = 0
     return Domain(words), tuple(parent), bytes(last)
-
-
-def _walk_ball(rank: int, radius: int, root, table) -> list:
-    """The state of an automaton at each position i of B_radius: `root`
-    at the identity, else table[state at parent[i]][last[i]]."""
-    _, parent, last = _ball(rank, radius)
-    state = [root]
-    for p, x in islice(zip(parent, last), 1, None):
-        state.append(table[state[p]][x])
-    return state
 
 
 def _bfs(succ, seeds: Iterable, stop=()) -> dict:
@@ -205,8 +197,6 @@ class FreeGroup:
     def ball(self, k: int) -> tuple:
         """B_k: all reduced words of length <= k, in canonical order (by
         length then lexicographic, so it is prefix-closed)."""
-        if k < 0:
-            raise ValueError("radius must be non-negative")
         return _ball(self.rank, k)[0].words
 
     def sphere(self, k: int) -> tuple:
@@ -214,6 +204,8 @@ class FreeGroup:
 
     def ball_size(self, k: int) -> int:
         """Closed formula |B_k| = 1 + 2d ((2d-1)^k - 1)/(2d-2) for d >= 2."""
+        if k < 0:
+            raise ValueError("radius must be non-negative")
         d = self.rank
         if d == 1:
             return 2 * k + 1

@@ -65,7 +65,9 @@ def test_minimal(tmp_path, capsys, rose2):
 
 INVALID_GRAPH_REPORT = """{
   "command": "%s",
-  "inputs": {},
+  "inputs": {
+    "graph": "adf4a361bc730397144ba9d3e6160c7d2760be755779e446752a68b907bab5c3"
+  },
   "verdict": "invalid graph",
   "witnesses": {
     "violations": [
@@ -229,6 +231,29 @@ def test_certify_minimal_cycle_option_overrides_the_document(tmp_path,
   }
 }
 """
+
+
+@pytest.fixture()
+def cyc2_sel_path(tmp_path, cyc2):
+    cycle = selectors.find_cycle(cyc2, 0)
+    sel = selectors.synthesize_recurrent(cyc2, cycle)
+    return write(tmp_path, "sel.json", selector_to_doc(sel, cycle))
+
+
+def test_certify_minimal_deep_probes_are_counted(capsys, cyc2_sel_path):
+    code, report = run(capsys, "certify-minimal", cyc2_sel_path,
+                       "--window", "2", "--depth", "40")
+    assert code == 0 and report["verdict"] == "certified"
+    assert report["witnesses"]["probes"] == FreeGroup(2).ball_size(40)
+
+
+def test_unprintable_report_is_an_error_verdict(capsys, cyc2_sel_path):
+    # |B_10000| has 4,772 digits, past the int-to-str conversion limit
+    code, report = run(capsys, "certify-minimal", cyc2_sel_path,
+                       "--window", "2", "--depth", "10000")
+    assert code == 1 and report["verdict"] == "error"
+    assert report["inputs"] == {}
+    assert "integer string conversion" in report["witnesses"]["error"]
 
 
 def test_cycle_on_non_minimal_graph(tmp_path, capsys, group2):

@@ -175,7 +175,7 @@ REPORT_SHA256 = {
     ("selector expand", "ok"):
         "3ebf190c1fc40ce014d523a50886cc186f925819af98f2eaff2781e82edb9937",
     ("selector synth", "not ok"):
-        "57754db87677b89b626d94521b7686e4433c1d40b7ac396449ddd81d35314f2b",
+        "d0eeebee30bd93ef084b22a8a7fd133b0fa4821b6db8fbfb50810c7c77973c74",
     ("selector synth", "ok"):
         "584665180ca8e34ab45baf6f4d7256c1ad0c00391ddec6df81f167d706ddd24f",
     ("sofic-witness", "not ok"):

@@ -14,7 +14,7 @@ from rauzy.selectors import (
     MinimalityCertificate,
     MinimalityCounterexample,
 )
-from rauzy.words import EPSILON, FreeGroup, inverse_letter
+from rauzy.words import EPSILON, FreeGroup, _ball, inverse_letter
 
 from oracles import certificate_oracle
 from test_cli_reports import schreier
@@ -345,6 +345,27 @@ def test_certify_minimality_fixtures(cyc2_selector, rose_selector):
     assert cert_r.syndeticity_gap <= cert_r.max_return_length - 1 + 2
 
 
+def test_negative_radii_are_refused(cyc2_selector):
+    sel, cycle = cyc2_selector
+    for window, depth in ((-1, 3), (2, -1)):
+        with pytest.raises(ValueError, match="radius must be non-negative"):
+            selectors.certify_minimality(sel, cycle, window, depth)
+    with pytest.raises(ValueError, match="radius must be non-negative"):
+        selectors.x_t_window(sel, -2)
+
+
+def test_certificate_builds_no_probe_ball(cyc2_selector):
+    # the probes are searched by length over edges: only the window's ball
+    # B_3 is cached, not B_9
+    sel, cycle = cyc2_selector
+    _ball.cache_clear()
+    selectors.certify_minimality(sel, cycle, 3, 9)
+    assert _ball.cache_info().currsize == 1
+    hits = _ball.cache_info().hits
+    _ball(2, 3)
+    assert _ball.cache_info().hits == hits + 1
+
+
 def test_certify_finds_counterexample_for_broken_agreement(star3):
     # breaking the out-of-cycle agreement on a cycle through the doubled
     # a-edges must be caught by the return-certificate scan; the cycle has
@@ -490,7 +511,7 @@ def _certificate_outcome(run):
 def test_certificate_matches_oracle():
     rng = random.Random(7)
     kinds = []
-    for rank, pairs in ((2, [(1, 3), (2, 4), (3, 5)]),
+    for rank, pairs in ((2, [(1, 3), (2, 4), (3, 5), (2, 6)]),
                         (3, [(1, 2), (2, 3), (3, 2)])):
         group = FreeGroup(rank)
         for _ in range(12):
