@@ -4,8 +4,19 @@ Every command reads JSON documents, prints a deterministic JSON report on
 stdout (command, input digests, verdict, witnesses; no timings, so reports
 are byte-identical across runs) and a one-line timing summary on stderr.
 
+Each leaf command declares in `build_parser` the documents it reads, its
+count options and, if it reads no document, the options its report hashes.
+`main` alone checks and reads them: it refuses a negative count before any
+document is read, then reads each document once and names it in the
+report's inputs by the SHA-256 of its bytes, keyed by its argument
+(`graph`, `selector`, `spec`, `window`, `pattern`).  `special-symbol` and
+`search-condition-witness` read no document and name the SHA-256 of their
+options as `args`.  An input error or an error names no input (`{}`).
+The handlers `cmd_x(args, *documents)` only compute, and return
+(verdict, witnesses, exit_ok).
+
 Exit codes: 0 = verdict ok/true, 1 = verdict false/counterexample/error on
-well-formed input, 2 = malformed input.
+well-formed input, 2 = malformed input (an unwritable `--dot` path too).
 """
 
 from __future__ import annotations
@@ -46,21 +57,21 @@ from .measured import MeasuredRauzyGraph
 from .words import FreeGroup
 
 
-def _read_doc(path: str) -> tuple[dict, str]:
+def _read_doc(path: str, inputs: dict, key: str):
+    """The JSON document at path; its SHA-256 goes to inputs[key]."""
     try:
         with open(path, "rb") as fh:
             raw = fh.read()
     except OSError as exc:
         raise DocumentError(f"{path}: {exc}") from None
-    digest = hashlib.sha256(raw).hexdigest()
+    inputs[key] = hashlib.sha256(raw).hexdigest()
     try:
-        doc = json.loads(raw)
+        return json.loads(raw)
     except ValueError as exc:   # also an integer past the int-string limit
         raise DocumentError(f"{path}: invalid JSON ({exc})") from None
     except RecursionError:
         raise DocumentError(
             f"{path}: invalid JSON (nested too deeply)") from None
-    return doc, digest
 
 
 def _bare_graph(doc):
@@ -75,173 +86,137 @@ def _measured_graph(doc, need="this command needs mu/m weights"):
     return g
 
 
-def _nonnegative(args, *names) -> None:
-    """Refuse a negative count option (a radius, window, depth, cap or
-    vertex bound) as malformed input."""
-    for name in names:
-        value = getattr(args, name)
-        if value < 0:
-            option = "--" + name.replace("_", "-")
-            raise DocumentError(f"{option}: must not be negative, got {value}")
-
-
 def _write_dot(path, render, obj):
     if path:
-        with open(path, "w") as fh:
-            fh.write(render(obj))
+        try:
+            with open(path, "w") as fh:
+                fh.write(render(obj))
+        except OSError as exc:
+            raise DocumentError(f"--dot: {exc}") from None
 
 
-# -- command implementations: return (verdict, witnesses, exit_ok)
-
-def cmd_validate(args):
-    doc, digest = _read_doc(args.graph)
-    g = _bare_graph(doc)
-    violations = graphs.validate(g)
-    _write_dot(args.dot, graph_to_dot, g)
-    if violations:
-        return {"graph": digest}, "invalid", {"violations": violations}, False
-    return {"graph": digest}, "ok", {}, True
-
-
-def cmd_minimal(args):
-    doc, digest = _read_doc(args.graph)
-    g = _bare_graph(doc)
-    bad = graphs.validate(g)
-    if bad:
-        return {"graph": digest}, "invalid graph", {"violations": bad}, False
-    ok, witness = graphs.is_minimal(g)
-    wit = {} if ok else {"unreachable_pair": list(witness)}
-    return {"graph": digest}, ok, wit, ok
-
-
-def cmd_conditions(args):
-    doc, digest = _read_doc(args.graph)
-    g = _bare_graph(doc)
-    bad = graphs.validate(g)
-    if bad:
-        return {"graph": digest}, "invalid graph", {"violations": bad}, False
-    c1, c2, c3 = graphs.check_conditions(g)
-    verdict = {"c1": c1, "c2": c2, "c3": c3}
-    return {"graph": digest}, verdict, {}, c1 and c2 and c3
-
-
-def cmd_xg_window(args):
-    _nonnegative(args, "radius", "cap")
-    doc, digest = _read_doc(args.graph)
-    g = _bare_graph(doc)
-    sft = graphs.xg_sft(g)
-    configs = enumerate_window(sft, g.group.ball(args.radius), cap=args.cap)
-    docs = [window_to_doc(g.group, c)["values"] for c in configs]
-    return ({"graph": digest}, "ok",
-            {"radius": args.radius, "count": len(configs), "configs": docs},
-            True)
-
-
-def cmd_cycle(args):
-    doc, digest = _read_doc(args.graph)
-    g = _bare_graph(doc)
-    if args.vertex not in g.vertices:
-        raise DocumentError(f"--vertex: unknown vertex {args.vertex!r}")
-    cycle = selectors.find_cycle(g, g.vertices.index(args.vertex))
-    labels = "".join(g.group.format_letter(g.edges[e].label) for e in cycle)
-    return ({"graph": digest}, "ok",
-            {"cycle": list(cycle), "labels": labels}, True)
-
-
-def cmd_selector_synth(args):
-    doc, digest = _read_doc(args.graph)
-    g = _bare_graph(doc)
-    cycle = _parse_cycle_arg(args.cycle, g)
-    bad = selectors.check_cycle(g, cycle)
-    if bad:
-        return ({"graph": digest}, "not a simple reduced cycle",
-                {"violations": bad}, False)
-    sel = selectors.synthesize_recurrent(g, cycle)
-    bad = selectors.validate_recurrent(sel, cycle)
-    if bad:
-        return ({"graph": digest}, "synthesized selector is not recurrent",
-                {"violations": bad}, False)
-    return ({"graph": digest}, "ok",
-            {"selector": selector_to_doc(sel, cycle)}, True)
-
-
-def _parse_cycle_arg(text, g):
+def _cycle_arg(text, g):
+    """--cycle as edge indices, and the report refusing them if they are
+    not a simple reduced cycle of g (None if they are)."""
     try:
         cycle = tuple(int(x) for x in text.split(","))
     except ValueError:
         raise DocumentError("--cycle: must be comma-separated edge indices")
     if not all(map(_index_of(len(g.edges)), cycle)):
         raise DocumentError("--cycle: edge index out of range")
-    return cycle
+    bad = selectors.check_cycle(g, cycle)
+    refused = "not a simple reduced cycle", {"violations": bad}, False
+    return cycle, refused if bad else None
 
 
-def cmd_selector_expand(args):
-    _nonnegative(args, "radius")
-    doc, digest = _read_doc(args.selector)
+# -- command implementations: return (verdict, witnesses, exit_ok)
+
+def cmd_validate(args, doc):
+    g = _bare_graph(doc)
+    violations = graphs.validate(g)
+    _write_dot(args.dot, graph_to_dot, g)
+    if violations:
+        return "invalid", {"violations": violations}, False
+    return "ok", {}, True
+
+
+def cmd_minimal(args, doc):
+    g = _bare_graph(doc)
+    bad = graphs.validate(g)
+    if bad:
+        return "invalid graph", {"violations": bad}, False
+    ok, witness = graphs.is_minimal(g)
+    return ok, {} if ok else {"unreachable_pair": list(witness)}, ok
+
+
+def cmd_conditions(args, doc):
+    g = _bare_graph(doc)
+    bad = graphs.validate(g)
+    if bad:
+        return "invalid graph", {"violations": bad}, False
+    c1, c2, c3 = graphs.check_conditions(g)
+    return {"c1": c1, "c2": c2, "c3": c3}, {}, c1 and c2 and c3
+
+
+def cmd_xg_window(args, doc):
+    g = _bare_graph(doc)
+    configs = enumerate_window(graphs.xg_sft(g), g.group.ball(args.radius),
+                               cap=args.cap)
+    docs = [window_to_doc(g.group, c)["values"] for c in configs]
+    return "ok", {"radius": args.radius, "count": len(configs),
+                  "configs": docs}, True
+
+
+def cmd_cycle(args, doc):
+    g = _bare_graph(doc)
+    if args.vertex not in g.vertices:
+        raise DocumentError(f"--vertex: unknown vertex {args.vertex!r}")
+    cycle = selectors.find_cycle(g, g.vertices.index(args.vertex))
+    labels = "".join(g.group.format_letter(g.edges[e].label) for e in cycle)
+    return "ok", {"cycle": list(cycle), "labels": labels}, True
+
+
+def cmd_selector_synth(args, doc):
+    g = _bare_graph(doc)
+    cycle, refused = _cycle_arg(args.cycle, g)
+    if refused:
+        return refused
+    sel = selectors.synthesize_recurrent(g, cycle)
+    bad = selectors.validate_recurrent(sel, cycle)
+    if bad:
+        return ("synthesized selector is not recurrent",
+                {"violations": bad}, False)
+    return "ok", {"selector": selector_to_doc(sel, cycle)}, True
+
+
+def cmd_selector_expand(args, doc):
     sel, _ = selector_from_doc(doc)
     group = sel.graph.group
     xw = selectors.x_t_window(sel, args.radius)
     zw = selectors.z0_window(sel, args.radius)
-    return ({"selector": digest}, "ok",
-            {"radius": args.radius,
-             "x_t": window_to_doc(group, xw)["values"],
-             "z0": window_to_doc(group, zw)["values"]},
-            True)
+    return "ok", {"radius": args.radius,
+                  "x_t": window_to_doc(group, xw)["values"],
+                  "z0": window_to_doc(group, zw)["values"]}, True
 
 
-def cmd_sofic_witness(args):
-    doc, digest = _read_doc(args.selector)
+def cmd_sofic_witness(args, doc):
     sel, _ = selector_from_doc(doc)
     wit = selectors.sofic_witness(sel)
     phi = {k: str(v) for k, v in sorted(wit.phi.items())}
-    return ({"selector": digest}, "ok",
-            {"sft": sft_to_doc(wit.sft), "phi": phi,
-             "range_edges": sorted(wit.range_edges)},
-            True)
+    return "ok", {"sft": sft_to_doc(wit.sft), "phi": phi,
+                  "range_edges": sorted(wit.range_edges)}, True
 
 
-def cmd_certify_minimal(args):
-    _nonnegative(args, "window", "depth")
-    doc, digest = _read_doc(args.selector)
+def cmd_certify_minimal(args, doc):
     sel, cycle = selector_from_doc(doc)
     if args.cycle is not None:
-        cycle = _parse_cycle_arg(args.cycle, sel.graph)
-        bad = selectors.check_cycle(sel.graph, cycle)
-        if bad:
-            return ({"selector": digest}, "not a simple reduced cycle",
-                    {"violations": bad}, False)
+        cycle, refused = _cycle_arg(args.cycle, sel.graph)
+        if refused:
+            return refused
     if cycle is None:
         raise DocumentError(
             "selector document carries no cycle; pass --cycle")
     result = selectors.certify_minimality(sel, cycle, args.window, args.depth)
-    group = sel.graph.group
     if isinstance(result, MinimalityCertificate):
-        return {"selector": digest}, "certified", asdict(result), True
-    wit = {
-        "g0": group.format_word(result.g0),
-        "h": group.format_word(result.h),
-        "u": group.format_word(result.u),
-        "expected": str(result.expected),
-        "got": str(result.got),
-    }
-    return {"selector": digest}, "counterexample", wit, False
+        return "certified", asdict(result), True
+    word = sel.graph.group.format_word
+    return "counterexample", {
+        "g0": word(result.g0), "h": word(result.h), "u": word(result.u),
+        "expected": str(result.expected), "got": str(result.got)}, False
 
 
-def cmd_measure_solve(args):
-    doc, digest = _read_doc(args.graph)
+def cmd_measure_solve(args, doc):
     if args.hint:
         mg = _measured_graph(doc, "--hint needs mu/m in the document")
         solution = measured.integer_solution(mg.graph, mg)
     else:
         solution = measured.integer_solution(_bare_graph(doc))
     if solution is None:
-        return ({"graph": digest}, "no full-support solution", {}, False)
-    return ({"graph": digest}, "ok",
-            {"measured": measured_to_doc(solution)}, True)
+        return "no full-support solution", {}, False
+    return "ok", {"measured": measured_to_doc(solution)}, True
 
 
-def cmd_finite_action(args):
-    doc, digest = _read_doc(args.graph)
+def cmd_finite_action(args, doc):
     mg = _measured_graph(doc)
     rank = mg.graph.group.rank
     if args.transitive and not 0 <= args.generator < rank:
@@ -252,25 +227,20 @@ def cmd_finite_action(args):
         act = actions.make_transitive(act, pi, mg, generator=args.generator)
     _write_dot(args.dot, action_to_dot, act)
     pi_doc = {point_name(p): str(v) for p, v in pi.items()}
-    return ({"graph": digest}, "ok",
-            {"action": action_to_doc(act), "pi": pi_doc,
-             "orbits": len(actions.orbits(act))},
-            True)
+    return "ok", {"action": action_to_doc(act), "pi": pi_doc,
+                  "orbits": len(actions.orbits(act))}, True
 
 
-def cmd_fiber_product(args):
-    doc, digest = _read_doc(args.spec)
+def cmd_fiber_product(args, doc):
     left = action_from_doc(_need(doc, "left", "spec", strict=False))
     right = action_from_doc(_need(doc, "right", "spec", strict=False))
     f1 = _spec_map(doc, "f1", left)
     f2 = _spec_map(doc, "f2", right)
     prod, pr1, pr2 = actions.fiber_product(left, right, f1, f2)
-    return ({"spec": digest}, "ok",
-            {"action": action_to_doc(prod),
-             "proj1": {point_name(p): v for p, v in pr1.items()},
-             "proj2": {point_name(p): v for p, v in pr2.items()},
-             "orbits": len(actions.orbits(prod))},
-            True)
+    return "ok", {"action": action_to_doc(prod),
+                  "proj1": {point_name(p): v for p, v in pr1.items()},
+                  "proj2": {point_name(p): v for p, v in pr2.items()},
+                  "orbits": len(actions.orbits(prod))}, True
 
 
 def _spec_map(doc, key, act):
@@ -280,49 +250,51 @@ def _spec_map(doc, key, act):
 
 
 def cmd_special_symbol(args):
-    _nonnegative(args, "radius")
-    group = _made("--rank", FreeGroup, args.rank)
+    group = args.group
     s0 = group.parse_letter(args.gen)
     if s0 & 1:
         raise DocumentError("--gen: must be a positive generator")
     sft, proj = special.special_symbol_sft(group, s0)
     x0 = special.x0_window(group, s0, args.radius)
     chi = special.chi_window(group, s0, args.radius)
-    inputs = {"args": hashlib.sha256(
-        f"{args.rank}:{args.gen}:{args.radius}".encode()).hexdigest()}
-    return (inputs, "ok",
-            {"sft": sft_to_doc(sft),
-             "proj": dict(sorted(proj.items())),
-             "x0": window_to_doc(group, x0)["values"],
-             "chi": window_to_doc(group, chi)["values"]},
-            True)
+    return "ok", {"sft": sft_to_doc(sft), "proj": dict(sorted(proj.items())),
+                  "x0": window_to_doc(group, x0)["values"],
+                  "chi": window_to_doc(group, chi)["values"]}, True
 
 
-def cmd_return_set(args):
-    _nonnegative(args, "depth")
-    wdoc, wdigest = _read_doc(args.window)
-    pdoc, pdigest = _read_doc(args.pattern)
+def cmd_return_set(args, wdoc, pdoc):
     group, config = window_from_doc(wdoc)
     pattern = pattern_from_doc(group, pdoc)
     returns = special.return_set(group, config, pattern, args.depth)
-    return ({"window": wdigest, "pattern": pdigest}, "ok",
-            {"depth": args.depth,
-             "returns": [group.format_word(w) for w in returns]},
-            True)
+    return "ok", {"depth": args.depth,
+                  "returns": [group.format_word(w) for w in returns]}, True
 
 
 def cmd_search_condition_witness(args):
-    _nonnegative(args, "max_vertices")
-    group = _made("--rank", FreeGroup, args.rank)
-    found = graphs.find_condition_witnesses(group, args.max_vertices)
-    wit = {}
-    for key, g in found.items():
-        wit[key] = graph_to_doc(g) if g is not None else None
+    found = graphs.find_condition_witnesses(args.group, args.max_vertices)
+    wit = {key: graph_to_doc(g) if g is not None else None
+           for key, g in found.items()}
     ok = all(v is not None for v in found.values())
-    inputs = {"args": hashlib.sha256(
-        f"{args.rank}:{args.max_vertices}".encode()).hexdigest()}
-    verdict = "found both" if ok else "not all witnesses found"
-    return inputs, verdict, wit, ok
+    return "found both" if ok else "not all witnesses found", wit, ok
+
+
+def _leaf(subs, name, func, help, reads=(), counts=(), hashed=()):
+    """Add a leaf command run by func(args, *documents).  It declares the
+    documents it reads (positional but --pattern), its count options as
+    (name, default) pairs (default None: required) and the options hashed
+    into the report's inputs.args."""
+    p = subs.add_parser(name, help=help)
+    p.set_defaults(func=func, command=p.prog.partition(" ")[2],
+                   reads=reads, counts=counts, hashed=hashed)
+    for doc in reads:
+        if doc == "pattern":
+            p.add_argument("--pattern", required=True)
+        else:
+            p.add_argument(doc)
+    for count, default in counts:
+        p.add_argument("--" + count.replace("_", "-"), type=int,
+                       default=default, required=default is None)
+    return p
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -332,98 +304,65 @@ def build_parser() -> argparse.ArgumentParser:
                     "actions of free groups, with finite-window certificates.")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    p = sub.add_parser("validate", help="check the Rauzy graph axioms")
-    p.add_argument("graph")
+    p = _leaf(sub, "validate", cmd_validate, "check the Rauzy graph axioms",
+              ("graph",))
     p.add_argument("--dot", help="write a DOT rendering to this path")
-    p.set_defaults(func=cmd_validate)
-
-    p = sub.add_parser("minimal", help="decide graph minimality")
-    p.add_argument("graph")
-    p.set_defaults(func=cmd_minimal)
-
-    p = sub.add_parser("conditions",
-                       help="the three reduced-path connectivity conditions")
-    p.add_argument("graph")
-    p.set_defaults(func=cmd_conditions)
-
-    p = sub.add_parser("xg-window",
-                       help="enumerate the graph SFT's window configs")
-    p.add_argument("graph")
-    p.add_argument("--radius", type=int, required=True)
-    p.add_argument("--cap", type=int, default=1_000_000)
-    p.set_defaults(func=cmd_xg_window)
-
-    p = sub.add_parser("cycle", help="find a simple reduced cycle")
-    p.add_argument("graph")
+    _leaf(sub, "minimal", cmd_minimal, "decide graph minimality", ("graph",))
+    _leaf(sub, "conditions", cmd_conditions,
+          "the three reduced-path connectivity conditions", ("graph",))
+    _leaf(sub, "xg-window", cmd_xg_window,
+          "enumerate the graph SFT's window configs", ("graph",),
+          (("radius", None), ("cap", 1_000_000)))
+    p = _leaf(sub, "cycle", cmd_cycle, "find a simple reduced cycle",
+              ("graph",))
     p.add_argument("--vertex", required=True)
-    p.set_defaults(func=cmd_cycle)
 
     psel = sub.add_parser("selector", help="edge selector operations")
     selsub = psel.add_subparsers(dest="selector_command", required=True)
-    p = selsub.add_parser("synth", help="synthesize a recurrent selector")
-    p.add_argument("graph")
+    p = _leaf(selsub, "synth", cmd_selector_synth,
+              "synthesize a recurrent selector", ("graph",))
     p.add_argument("--cycle", required=True,
                    help="comma-separated edge indices")
-    p.set_defaults(func=cmd_selector_synth)
-    p = selsub.add_parser("expand", help="window of the generated point")
-    p.add_argument("selector")
-    p.add_argument("--radius", type=int, required=True)
-    p.set_defaults(func=cmd_selector_expand)
+    _leaf(selsub, "expand", cmd_selector_expand,
+          "window of the generated point", ("selector",),
+          (("radius", None),))
 
-    p = sub.add_parser("sofic-witness",
-                       help="the SFT cover of the selector's subshift")
-    p.add_argument("selector")
-    p.set_defaults(func=cmd_sofic_witness)
-
-    p = sub.add_parser("certify-minimal",
-                       help="finite syndetic-return certificate")
-    p.add_argument("selector")
-    p.add_argument("--window", type=int, required=True)
-    p.add_argument("--depth", type=int, required=True)
+    _leaf(sub, "sofic-witness", cmd_sofic_witness,
+          "the SFT cover of the selector's subshift", ("selector",))
+    p = _leaf(sub, "certify-minimal", cmd_certify_minimal,
+              "finite syndetic-return certificate", ("selector",),
+              (("window", None), ("depth", None)))
     p.add_argument("--cycle", help="override the document's cycle")
-    p.set_defaults(func=cmd_certify_minimal)
 
     pm = sub.add_parser("measure", help="measured graph operations")
     msub = pm.add_subparsers(dest="measure_command", required=True)
-    p = msub.add_parser("solve", help="integer full-support solution")
-    p.add_argument("graph")
+    p = _leaf(msub, "solve", cmd_measure_solve,
+              "integer full-support solution", ("graph",))
     p.add_argument("--hint", action="store_true",
                    help="scale the document's mu/m instead of solving")
-    p.set_defaults(func=cmd_measure_solve)
 
-    p = sub.add_parser("finite-action",
-                       help="realize an integer measured graph")
-    p.add_argument("graph")
+    p = _leaf(sub, "finite-action", cmd_finite_action,
+              "realize an integer measured graph", ("graph",))
     p.add_argument("--transitive", action="store_true")
     p.add_argument("--generator", type=int, default=0,
                    help="generator whose cycles are merged (default first)")
     p.add_argument("--dot", help="write a DOT rendering to this path")
-    p.set_defaults(func=cmd_finite_action)
+    _leaf(sub, "fiber-product", cmd_fiber_product,
+          "amalgamate two actions over a common factor (spec: JSON with "
+          "left, right, f1, f2)", ("spec",))
 
-    p = sub.add_parser("fiber-product",
-                       help="amalgamate two actions over a common factor")
-    p.add_argument("spec", help="JSON with left, right, f1, f2")
-    p.set_defaults(func=cmd_fiber_product)
-
-    p = sub.add_parser("special-symbol",
-                       help="the cyclic-subgroup marker SFT")
+    p = _leaf(sub, "special-symbol", cmd_special_symbol,
+              "the cyclic-subgroup marker SFT", (), (("radius", None),),
+              ("rank", "gen", "radius"))
     p.add_argument("--rank", type=int, required=True)
     p.add_argument("--gen", required=True)
-    p.add_argument("--radius", type=int, required=True)
-    p.set_defaults(func=cmd_special_symbol)
-
-    p = sub.add_parser("return-set",
-                       help="positions moving a window into a pattern")
-    p.add_argument("window")
-    p.add_argument("--pattern", required=True)
-    p.add_argument("--depth", type=int, required=True)
-    p.set_defaults(func=cmd_return_set)
-
-    p = sub.add_parser("search-condition-witness",
-                       help="exhaustive search for condition separations")
-    p.add_argument("--max-vertices", type=int, required=True)
+    _leaf(sub, "return-set", cmd_return_set,
+          "positions moving a window into a pattern", ("window", "pattern"),
+          (("depth", None),))
+    p = _leaf(sub, "search-condition-witness", cmd_search_condition_witness,
+              "exhaustive search for condition separations", (),
+              (("max_vertices", None),), ("rank", "max_vertices"))
     p.add_argument("--rank", type=int, default=2)
-    p.set_defaults(func=cmd_search_condition_witness)
 
     return parser
 
@@ -432,18 +371,31 @@ def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     started = time.monotonic()
-    command = args.command
-    for extra in ("selector_command", "measure_command"):
-        if getattr(args, extra, None):
-            command += " " + getattr(args, extra)
 
     def report(inputs, verdict, witnesses):
-        return report_text({"command": command, "inputs": inputs,
+        return report_text({"command": args.command, "inputs": inputs,
                             "verdict": verdict, "witnesses": witnesses})
 
-    # rendering fails too on an int past the int-to-str digit limit
+    # a negative count is refused before any document is read; rendering
+    # fails too on an int past the int-to-str digit limit
     try:
-        inputs, verdict, witnesses, ok = args.func(args)
+        for name, _ in args.counts:
+            value = getattr(args, name)
+            if value < 0:
+                option = "--" + name.replace("_", "-")
+                raise DocumentError(
+                    f"{option}: must not be negative, got {value}")
+        inputs = {}
+        if args.hashed:
+            key = ":".join(str(getattr(args, name)) for name in args.hashed)
+            inputs["args"] = hashlib.sha256(key.encode()).hexdigest()
+        if "rank" in args:
+            args.group = _made("--rank", FreeGroup, args.rank)
+        # the documents are freed as the handler returns, not held while
+        # the report is rendered
+        verdict, witnesses, ok = args.func(args, *(
+            _read_doc(getattr(args, name), inputs, name)
+            for name in args.reads))
         text, code = report(inputs, verdict, witnesses), 0 if ok else 1
     except DocumentError as exc:
         text, code = report({}, "input error", {"error": str(exc)}), 2

@@ -316,7 +316,10 @@ def enumerate_window(sft: Sft, domain: Iterable[Word],
             assignment[k] = sym
             extend(k + 1)
 
-    extend(0)
+    try:
+        extend(0)
+    finally:
+        del extend      # it refers to itself: free out without a collection
     return tuple(out)
 
 

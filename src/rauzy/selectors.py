@@ -407,11 +407,17 @@ def synthesize_recurrent(g: RauzyGraph, cycle: Sequence[int]) -> EdgeSelector:
 
 def validate_recurrent(sel: EdgeSelector, cycle: Sequence[int]) -> list[str]:
     """Check the five recurrence conditions literally; returns violations."""
+    return _recurrence(sel, cycle)[0]
+
+
+def _recurrence(sel: EdgeSelector, cycle: Sequence[int]) -> tuple:
+    """(validate_recurrent's violations, the distances into the cycle and
+    its reverse that check (v) reads, or None if the cycle is refused)."""
     g = sel.graph
     out = []
     cycle_violations = check_cycle(g, cycle)
     if cycle_violations:
-        return ["(cycle) " + v for v in cycle_violations]
+        return ["(cycle) " + v for v in cycle_violations], None
     n = len(cycle)
     cyc = list(cycle)
     cb = list(bar_cycle(g, cycle))
@@ -439,10 +445,11 @@ def validate_recurrent(sel: EdgeSelector, cycle: Sequence[int]) -> list[str]:
                 out.append(
                     f"(iv) t1[{e}] and t1[{g.edges[enext].bar}] disagree at "
                     f"{g.group.format_letter(s)}")
-    for e, d in enumerate(_distances_to(sel, cyc + cb)):
+    dist = _distances_to(sel, cyc + cb)
+    for e, d in enumerate(dist):
         if d is None:
             out.append(f"(v) edge {e} cannot reach the cycle or its reverse")
-    return out
+    return out, dist
 
 
 # -- finite minimality certificates
@@ -467,10 +474,12 @@ class MinimalityCounterexample:
     got: object
 
 
-def _return_words(sel: EdgeSelector, cycle: Sequence[int]) -> dict:
+def _return_words(sel: EdgeSelector, cycle: Sequence[int],
+                  dist: list | None = None) -> dict:
     """For each edge e, a reduced word w with label(e) * w reduced such that
     T1(e, w) is the first edge of the cycle or of its reverse (following the
-    respective cycle to its base edge, at least one step).
+    respective cycle to its base edge, at least one step).  `dist` is
+    _recurrence's distance list, searched here if not given.
 
     Returns {edge: (w, which)} with which in {"cycle", "reverse"}.
     """
@@ -481,7 +490,8 @@ def _return_words(sel: EdgeSelector, cycle: Sequence[int]) -> dict:
     pos_c = {e: i for i, e in enumerate(cyc)}
     pos_b = {e: i for i, e in enumerate(cb)}
     moves = _moves(sel)
-    dist = _distances_to(sel, cyc + cb)
+    if dist is None:
+        dist = _distances_to(sel, cyc + cb)
     out = {}
     for e in range(len(g.edges)):
         if dist[e] is None:
@@ -550,8 +560,9 @@ def certify_minimality(sel: EdgeSelector, cycle: Sequence[int],
     break the recurrence conditions themselves.
     """
     g = sel.graph
+    dist = None
     if require_recurrent:
-        violations = validate_recurrent(sel, cycle)
+        violations, dist = _recurrence(sel, cycle)
         if violations:
             raise ValueError(
                 "selector is not recurrent: " + "; ".join(violations))
@@ -559,7 +570,7 @@ def certify_minimality(sel: EdgeSelector, cycle: Sequence[int],
     k = -(-window_radius // n)  # ceil
     bodies = {"cycle": cycle_word(g, cycle),
               "reverse": cycle_word(g, bar_cycle(g, cycle))}
-    returns = _return_words(sel, cycle)
+    returns = _return_words(sel, cycle, dist)
     max_return = max(len(w) for w, _ in returns.values())
     r = {e: w1[:-1] + bodies[which] * k for e, (w1, which) in returns.items()}
 

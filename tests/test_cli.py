@@ -6,6 +6,7 @@ from fractions import Fraction
 
 import pytest
 from oracles import sft_pairs
+from test_cli_reports import _leaves
 
 from rauzy import cli, graphs, measured, selectors
 from rauzy.actions import FiniteAction
@@ -696,3 +697,46 @@ def test_dot_is_rendered_only_on_request(tmp_path, capsys, monkeypatch, cyc2,
                  measured_to_doc(measured.integer_solution(cyc2)))
     code, _ = run(capsys, "finite-action", path, "--transitive")
     assert code == 0
+
+
+# leaf command -> the rest of an argv that parses, {doc} naming a document
+DISPATCH_ARGV = {
+    "validate": "{doc}",
+    "minimal": "{doc}",
+    "conditions": "{doc}",
+    "xg-window": "{doc} --radius 1",
+    "cycle": "{doc} --vertex u",
+    "selector synth": "{doc} --cycle 0",
+    "selector expand": "{doc} --radius 1",
+    "sofic-witness": "{doc}",
+    "certify-minimal": "{doc} --window 1 --depth 1",
+    "measure solve": "{doc}",
+    "finite-action": "{doc}",
+    "fiber-product": "{doc}",
+    "special-symbol": "--rank 2 --gen a --radius 1",
+    "return-set": "{doc} --pattern {doc} --depth 1",
+    "search-condition-witness": "--max-vertices 1",
+}
+
+
+def test_main_calls_each_handler_through_the_module(tmp_path, capsys,
+                                                    monkeypatch):
+    # main looks every handler up on the module when it builds the parser,
+    # so a wrapper bound there in its place (a tracer's span) is what runs
+    leaves = list(_leaves(cli.build_parser()))
+    assert sorted(leaves) == sorted(DISPATCH_ARGV)
+    path = write(tmp_path, "doc.json", {})
+    for leaf in leaves:
+        calls = []
+
+        def handler(args, *documents):
+            calls.append(documents)
+            return "ok", {}, True
+
+        name = "cmd_" + leaf.replace(" ", "_").replace("-", "_")
+        monkeypatch.setattr(cli, name, handler)
+        argv = leaf.split() + DISPATCH_ARGV[leaf].format(doc=path).split()
+        code, report = run(capsys, *argv)
+        reads = DISPATCH_ARGV[leaf].count("{doc}")
+        assert code == 0 and calls == [({},) * reads], leaf
+        assert len(report["inputs"]) == max(reads, 1), leaf

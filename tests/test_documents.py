@@ -357,6 +357,9 @@ CASES = {
                             "--generator: no generator 2 at rank 2",
                             ["finite-action", "{doc}", "--transitive",
                              "--generator", "2"]),
+    "dot-unwritable": ("graph", (), GRAPH,
+                       "--dot: [Errno 20] Not a directory: '{doc}/g.dot'",
+                       ["validate", "{doc}", "--dot", "{doc}/g.dot"]),
     "radius-negative": ("graph", (), GRAPH,
                         "--radius: must not be negative, got -1",
                         ["xg-window", "{doc}", "--radius", "-1"]),

@@ -1,4 +1,5 @@
 import functools
+import gc
 import hashlib
 import itertools
 import json
@@ -132,6 +133,22 @@ def test_enumerate_window_cap(group2):
     sft = full_shift(group2, Alphabet([0, 1]))
     with pytest.raises(CapExceededError):
         enumerate_window(sft, group2.ball(2), cap=100)
+
+
+def test_enumerate_window_result_is_freed_without_a_collection(group2):
+    # the search's closure must not refer to itself, or the configs wait
+    # for the cyclic collector once the result is dropped
+    sft = graphs.xg_sft(graphs.letter_flow_graph(group2))
+    ball = group2.ball(3)
+    enumerate_window(sft, ball)     # warm the caches the call fills
+    gc.collect()
+    gc.disable()
+    try:
+        assert len(enumerate_window(sft, ball)) == 108
+        freed = gc.collect()
+    finally:
+        gc.enable()
+    assert freed == 0
 
 
 def test_enumerate_window_domain_validation(group2):

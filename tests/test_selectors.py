@@ -332,6 +332,23 @@ def test_return_words_search_once_not_per_edge(monkeypatch, star3):
         assert calls == []
 
 
+def test_certificate_searches_distances_once(monkeypatch, star3):
+    # check (v) of the recurrence conditions and the return words read the
+    # same distances into the cycle and its reverse
+    calls = []
+    search = selectors._distances_to
+
+    def counted(*args):
+        calls.append(args)
+        return search(*args)
+
+    monkeypatch.setattr(selectors, "_distances_to", counted)
+    sel, cycle = _synth(star3, 0)
+    cert = selectors.certify_minimality(sel, cycle, 2, 4)
+    assert isinstance(cert, MinimalityCertificate)
+    assert len(calls) == 1
+
+
 def test_certify_minimality_fixtures(cyc2_selector, rose_selector):
     sel, cycle = cyc2_selector
     cert = selectors.certify_minimality(sel, cycle, 2, 6)
